@@ -10,6 +10,7 @@ within each order) before touching the data file.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -142,7 +143,6 @@ def main():
         "# group of order 12.  ids of the order-24 extras are file-local.",
     ]
     for order, gid, name, g in groups:
-        import json
         lines.append(json.dumps({
             "order": order, "id": gid, "name": name,
             "degree": g.degree, "gens": [list(p) for p in gens_of(g)],

@@ -32,6 +32,10 @@ SMALL_GROUP_COUNTS = {
 CATALOG_EXHAUSTIVE_LIMIT = 16
 
 
+class MissingEntry(KeyError):
+    """No catalog entry has the requested (order, id) or name."""
+
+
 class CatalogFormatError(ValueError):
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -148,14 +152,14 @@ def get(entries: list[CatalogEntry], order: int, gid: int) -> Group:
     for e in entries:
         if e.order == order and e.id == gid:
             return e.group()
-    raise KeyError(f"no catalog entry ({order}, {gid})")
+    raise MissingEntry(f"no catalog entry ({order}, {gid})")
 
 
 def find(entries: list[CatalogEntry], name: str) -> CatalogEntry:
     for e in entries:
         if e.name == name:
             return e
-    raise KeyError(f"no catalog entry named {name!r}")
+    raise MissingEntry(f"no catalog entry named {name!r}")
 
 
 def missing_orders(entries: list[CatalogEntry],

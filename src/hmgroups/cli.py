@@ -17,18 +17,20 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import sys
 import time
+from fractions import Fraction
 
 import click
 
-from .catalog import (CatalogFormatError, default_catalog, load_catalog_file,
-                      validate_catalog)
+from .catalog import (CatalogFormatError, MissingEntry, default_catalog,
+                      load_catalog_file, validate_catalog)
 from .exactmath import format_rational, is_prime, rational_decimal
 from .groupkernel import CapExceeded, is_isomorphic
-from .statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral, ElemAbelian,
-                         GenQuaternion, GroupExpr, Product, SL23, SemiDihedral,
-                         Symmetric, eval_expr, realize)
+from .statistics import (EVAL_ENUM_CAP, CatalogRef, Cyclic, Dicyclic, Dihedral,
+                         ElemAbelian, GenQuaternion, GroupExpr, Product, SL23,
+                         SemiDihedral, Symmetric, eval_expr, realize)
 from .verifier import CHECKS, run_checks, scan_integer_hm
 
 
@@ -221,7 +223,6 @@ class CliState:
         return self._entries
 
     def eval_cap(self) -> int:
-        from .statistics import EVAL_ENUM_CAP
         return self.caps if self.caps else EVAL_ENUM_CAP
 
 
@@ -265,6 +266,8 @@ def stats(state: CliState, expression):
         report = eval_expr(expr, state.entries, cap=state.eval_cap())
     except CapExceeded as exc:
         raise ResourceError(str(exc))
+    except MissingEntry as exc:
+        raise click.UsageError(str(exc))
     _echo_header(state)
     if state.format == "json":
         click.echo(report.to_json(state.digits))
@@ -273,19 +276,16 @@ def stats(state: CliState, expression):
     click.echo(f"expression: {d['label']}")
     click.echo(f"order: {d['order']}")
     click.echo(f"exponent: {d['exponent']}")
-    if d["spectrum"] is not None:
-        spec = " ".join(f"{o}:{c}" for o, c in d["spectrum"])
-        click.echo(f"spectrum: {spec}")
+    spec = " ".join(f"{o}:{c}" for o, c in d["spectrum"])
+    click.echo(f"spectrum: {spec}")
     click.echo(f"m: {d['m']} (~{d['m_approx']})")
     click.echo(f"h_m: {d['h_m']} (~{d['h_m_approx']})")
-    if d["c_count"] is not None:
-        click.echo(f"cyclic subgroups: {d['c_count']}")
+    click.echo(f"cyclic subgroups: {d['c_count']}")
     click.echo(f"integer: {'yes' if d['integer'] else 'no'}")
     click.echo(f"path: {d['path']}")
 
 
 def _parse_predicate(text: str | None):
-    from fractions import Fraction
     if text is None:
         return None, "all"
     if text == "integer":
@@ -348,6 +348,8 @@ def scan(state: CliState, expressions, max_order, families_spec, predicate):
                                  dihedral_max=ranges["dihedral"], exprs=exprs)
     except CapExceeded as exc:
         raise ResourceError(str(exc))
+    except MissingEntry as exc:
+        raise click.UsageError(str(exc))
     rows = report.rows
     if max_order is not None:
         rows = [r for r in rows if r.order <= max_order]
@@ -405,8 +407,7 @@ def verify(state: CliState, check_list, run_all_flag, nmax):
     results = run_checks(state.entries, ids, nmax=nmax)
     _echo_header(state)
     if state.format == "json":
-        import json as _json
-        click.echo(_json.dumps([r.to_dict() for r in results], indent=2))
+        click.echo(json.dumps([r.to_dict() for r in results], indent=2))
     else:
         for r in results:
             click.echo(f"[{'PASS' if r.passed else 'FAIL'}] {r.check_id}")
@@ -440,7 +441,7 @@ def _realize_or_error(state: CliState, text: str):
         return realize(expr, state.entries, cap=state.eval_cap())
     except CapExceeded as exc:
         raise ResourceError(str(exc))
-    except KeyError as exc:
+    except MissingEntry as exc:
         raise click.UsageError(str(exc))
 
 

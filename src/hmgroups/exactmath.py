@@ -9,14 +9,10 @@ produced by integer long division, display-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(num: int, den: int = 1) -> Rational:
@@ -55,6 +51,13 @@ class Factorization:
             n *= e + 1
         return n
 
+    def divisors(self) -> list[int]:
+        """All positive divisors of the value, ascending."""
+        divs = [1]
+        for p, e in self.pairs:
+            divs = [d * p ** k for d in divs for k in range(e + 1)]
+        return sorted(divs)
+
     def is_prime_power(self) -> bool:
         return len(self.pairs) == 1
 
@@ -64,19 +67,7 @@ class Factorization:
 
 def is_prime(n: int) -> bool:
     """Trial division primality test, adequate at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    limit = math.isqrt(n)
-    while f <= limit:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    return n >= 2 and smallest_prime_divisor(n) == n
 
 
 def factorize(n: int) -> Factorization:
@@ -108,19 +99,22 @@ def factorize(n: int) -> Factorization:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return factorize(n).divisors()
 
 
 def euler_phi(n: int) -> int:
     """Count of 1 <= k <= n coprime to n."""
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    result = 1
-    for p, e in factorize(n):
-        result *= (p - 1) * p ** (e - 1)
+    return phi_from_primes(n, factorize(n).primes())
+
+
+def phi_from_primes(n: int, primes) -> int:
+    """euler_phi(n) from a superset `primes` of the prime factors of n."""
+    result = n
+    for p in primes:
+        if n % p == 0:
+            result = result // p * (p - 1)
     return result
 
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactmath import euler_phi, is_prime
+from .exactmath import factorize, is_prime, phi_from_primes
 
 CLOSURE_CAP = 2_000_000
 TABLE_CAP = 4096
@@ -96,22 +96,23 @@ class OrderSpectrum:
     def exponent(self) -> int:
         return math.lcm(*(d for d, _ in self.entries)) if self.entries else 1
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def cyclic_counts(self) -> tuple[tuple[int, int], ...]:
-        """Per order d, the number n_d / phi(d) of cyclic subgroups of order d."""
+    def cyclic_counts(self, primes=None) -> tuple[tuple[int, int], ...]:
+        """Per order d, the number n_d / phi(d) of cyclic subgroups of order d;
+        phi(d) comes from `primes`, the primes of |G|, or else from one
+        factorization of the exponent, which has the same primes."""
+        if primes is None:
+            primes = factorize(self.exponent()).primes()
         out = []
         for d, n in self.entries:
-            phi = euler_phi(d)
+            phi = phi_from_primes(d, primes)
             if n % phi:
                 raise ValueError(f"phi({d}) = {phi} does not divide n_{d} = {n}")
             out.append((d, n // phi))
         return tuple(out)
 
-    def cyclic_count(self) -> int:
+    def cyclic_count(self, primes=None) -> int:
         """|C(G)|, the trivial subgroup included (the d = 1 term)."""
-        return sum(c for _, c in self.cyclic_counts())
+        return sum(c for _, c in self.cyclic_counts(primes))
 
 
 @dataclass(frozen=True)
@@ -336,12 +337,9 @@ class Group:
                     return False
         return True
 
-    def quotient(self, sub: Subgroup, label: str | None = None) -> "Group":
-        """Group on the cosets of a normal subgroup."""
-        if sub.parent is not self:
-            raise ValueError("subgroup belongs to a different group")
-        if not self.is_normal(sub):
-            raise ValueError("quotient requires a normal subgroup")
+    def cosets(self, sub: Subgroup) -> tuple[list[int], list[int]]:
+        """Left cosets xH: (coset id of each element, representative of each
+        coset); ids number the cosets by their smallest element."""
         coset_of = [-1] * self.size
         reps: list[int] = []
         for x in range(self.size):
@@ -350,6 +348,15 @@ class Group:
                 reps.append(x)
                 for h in sub.members:
                     coset_of[self.op(x, h)] = cid
+        return coset_of, reps
+
+    def quotient(self, sub: Subgroup, label: str | None = None) -> "Group":
+        """Group on the cosets of a normal subgroup."""
+        if sub.parent is not self:
+            raise ValueError("subgroup belongs to a different group")
+        if not self.is_normal(sub):
+            raise ValueError("quotient requires a normal subgroup")
+        coset_of, reps = self.cosets(sub)
         rows = [
             tuple(coset_of[self.op(a, b)] for b in reps) for a in reps
         ]

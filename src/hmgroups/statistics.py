@@ -1,14 +1,18 @@
 """Harmonic mean of element orders: exact statistics and closed forms.
 
 For a finite group G, m(G) is the sum of reciprocals of element orders
-and h_m(G) = |G| / m(G).  Cyclic and dihedral groups have closed forms
-which evaluate without any enumeration, and products with pairwise
-coprime factor orders multiply, so expressions like a 19.8M-element
-direct product are evaluated symbolically.
+and h_m(G) = |G| / m(G).  Both follow from the order spectrum (n_d
+elements of order d): m(G) = sum of n_d / d.  Expressions are evaluated
+by building that spectrum once and deriving every statistic from it.
+Cyclic and dihedral groups have closed-form spectra that need no
+enumeration, and the spectrum of a product with pairwise coprime factor
+orders is the lcm-convolution of the factors' spectra, so expressions
+like a 19.8M-element direct product are evaluated symbolically.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -16,8 +20,8 @@ from fractions import Fraction
 
 from . import catalog as catalog_mod
 from . import families
-from .exactmath import (Rational, divisors, euler_phi, factorize, format_rational,
-                        is_integer, rational_decimal, smallest_prime_divisor)
+from .exactmath import (Rational, factorize, format_rational, is_integer,
+                        phi_from_primes, rational_decimal, smallest_prime_divisor)
 from .groupkernel import CapExceeded, Group, OrderSpectrum, direct_product
 
 EVAL_ENUM_CAP = 4096
@@ -26,8 +30,12 @@ EVAL_ENUM_CAP = 4096
 # -- statistics of concrete groups -------------------------------------------
 
 
-def m_of_spectrum(spectrum: OrderSpectrum) -> Rational:
-    return sum((Fraction(n, d) for d, n in spectrum), Fraction(0))
+def m_of_spectrum(spectrum: OrderSpectrum, exponent: int | None = None) -> Rational:
+    """m = sum of n_d / d, summed as one integer numerator over the exponent
+    (every order d divides it); pass the exponent if it is already known."""
+    if exponent is None:
+        exponent = spectrum.exponent()
+    return Fraction(sum(n * (exponent // d) for d, n in spectrum), exponent)
 
 
 def m_of(g: Group) -> Rational:
@@ -212,8 +220,12 @@ def realize(e: GroupExpr, entries=None, cap: int = EVAL_ENUM_CAP) -> Group:
     """Concrete Group for an expression; enumeration-capped."""
     order = expr_order(e)
     if order > cap:
+        # str() refuses integers of over 4300 digits: name a power of ten
+        # below a huge order instead, 10^k with k <= (bits - 1) * log10(2)
+        size = (str(order) if order < 10 ** 50
+                else f"> 10^{(order.bit_length() - 1) * 3010299956 // 10 ** 10}")
         raise CapExceeded(
-            f"{expr_text(e)} has order {order}, above the enumeration cap {cap}; "
+            f"{expr_text(e)} has order {size}, above the enumeration cap {cap}; "
             f"raise the cap or use a coprime product / closed-form expression")
     match e:
         case Cyclic(n):
@@ -252,10 +264,10 @@ class StatReport:
     label: str
     order: int
     exponent: int
-    spectrum: OrderSpectrum | None
+    spectrum: OrderSpectrum
     m: Rational
     h_m: Rational
-    c_count: int | None
+    c_count: int
     integer: bool
     path: str  # "brute" | "closed_form" | "multiplicative"
 
@@ -264,8 +276,7 @@ class StatReport:
             "label": self.label,
             "order": self.order,
             "exponent": self.exponent,
-            "spectrum": ([[d, n] for d, n in self.spectrum.entries]
-                         if self.spectrum is not None else None),
+            "spectrum": [[d, n] for d, n in self.spectrum.entries],
             "m": format_rational(self.m),
             "m_approx": rational_decimal(self.m, digits),
             "h_m": format_rational(self.h_m),
@@ -279,26 +290,18 @@ class StatReport:
         return json.dumps(self.to_dict(digits), indent=2)
 
 
-def report_of_group(g: Group, label: str | None = None,
-                    path: str = "brute") -> StatReport:
-    spectrum = g.order_spectrum()
-    m = m_of_spectrum(spectrum)
-    h = Fraction(g.size) / m
-    return StatReport(
-        label=label or g.label, order=g.size, exponent=spectrum.exponent(),
-        spectrum=spectrum, m=m, h_m=h, c_count=spectrum.cyclic_count(),
-        integer=is_integer(h), path=path)
-
-
-def _cyclic_spectrum(n: int) -> OrderSpectrum:
-    return OrderSpectrum(tuple((d, euler_phi(d)) for d in divisors(n)))
-
-
-def _dihedral_spectrum(order: int) -> OrderSpectrum:
-    n = order // 2
-    counts = dict(_cyclic_spectrum(n).entries)
-    counts[2] = counts.get(2, 0) + n
-    return OrderSpectrum(tuple(sorted(counts.items())))
+def report_of_spectrum(label: str, spectrum: OrderSpectrum,
+                       primes: tuple[int, ...], path: str) -> StatReport:
+    """Every statistic of a group from its order spectrum; `primes` are the
+    primes of the group order, from which phi(d) is taken for |C(G)|."""
+    order = spectrum.total()
+    exponent = spectrum.exponent()
+    m = m_of_spectrum(spectrum, exponent)
+    h = Fraction(order) / m
+    return StatReport(label=label, order=order, exponent=exponent,
+                      spectrum=spectrum, m=m, h_m=h,
+                      c_count=spectrum.cyclic_count(primes),
+                      integer=is_integer(h), path=path)
 
 
 def _convolve_spectra(a: OrderSpectrum, b: OrderSpectrum) -> OrderSpectrum:
@@ -310,49 +313,46 @@ def _convolve_spectra(a: OrderSpectrum, b: OrderSpectrum) -> OrderSpectrum:
     return OrderSpectrum(tuple(sorted(counts.items())))
 
 
-def eval_expr(e: GroupExpr, entries=None, cap: int = EVAL_ENUM_CAP) -> StatReport:
-    """Evaluate an expression, preferring closed forms and the coprime
-    multiplicative split before falling back to enumeration."""
-    label = expr_text(e)
+def _pairwise_coprime(orders: list[int]) -> bool:
+    return all(math.gcd(a, b) == 1 for a, b in itertools.combinations(orders, 2))
+
+
+def _closed_form(n: int, reflections: int = 0):
+    """Spectrum of C(n), phi(d) elements of order d for each d | n, plus
+    `reflections` of order 2 (D(2n) has n), from one factorization of n."""
+    fac = factorize(n)
+    primes = fac.primes()
+    counts = {d: phi_from_primes(d, primes) for d in fac.divisors()}
+    if reflections:
+        counts[2] = counts.get(2, 0) + reflections
+        primes = tuple(sorted({2, *primes}))
+    return OrderSpectrum(tuple(sorted(counts.items()))), primes, "closed_form"
+
+
+def _spectrum_source(e: GroupExpr, entries, cap: int):
+    """(order spectrum, primes of the order, path) of an expression: the
+    closed form of a lone C(n) or D(2n), the lcm-convolution of the factors'
+    spectra for a pairwise-coprime product, and enumeration under the cap
+    for anything else."""
     match e:
         case Cyclic(n):
-            spectrum = _cyclic_spectrum(n)
-            m = m_cyclic_closed(n)
-            h = Fraction(n) / m
-            return StatReport(label=label, order=n, exponent=n, spectrum=spectrum,
-                              m=m, h_m=h, c_count=len(divisors(n)),
-                              integer=is_integer(h), path="closed_form")
+            return _closed_form(n)
         case Dihedral(order):
-            n = order // 2
-            spectrum = _dihedral_spectrum(order)
-            m = m_cyclic_closed(n) + Fraction(n, 2)
-            h = Fraction(order) / m
-            return StatReport(label=label, order=order, exponent=math.lcm(n, 2),
-                              spectrum=spectrum, m=m, h_m=h,
-                              c_count=len(divisors(n)) + n,
-                              integer=is_integer(h), path="closed_form")
-        case Product(factors):
-            orders = [expr_order(f) for f in factors]
-            coprime = all(math.gcd(orders[i], orders[j]) == 1
-                          for i in range(len(orders))
-                          for j in range(i + 1, len(orders)))
-            if coprime:
-                parts = [eval_expr(f, entries, cap) for f in factors]
-                order = math.prod(orders)
-                m = math.prod((p.m for p in parts), start=Fraction(1))
-                h = math.prod((p.h_m for p in parts), start=Fraction(1))
-                exponent = math.lcm(*(p.exponent for p in parts))
-                spectrum = None
-                if all(p.spectrum is not None for p in parts):
-                    spectrum = parts[0].spectrum
-                    for p in parts[1:]:
-                        spectrum = _convolve_spectra(spectrum, p.spectrum)
-                c_count = None
-                if all(p.c_count is not None for p in parts):
-                    c_count = math.prod(p.c_count for p in parts)
-                return StatReport(label=label, order=order, exponent=exponent,
-                                  spectrum=spectrum, m=m, h_m=h, c_count=c_count,
-                                  integer=is_integer(h), path="multiplicative")
-            return report_of_group(realize(e, entries, cap), label=label)
-        case _:
-            return report_of_group(realize(e, entries, cap), label=label)
+            return _closed_form(order // 2, reflections=order // 2)
+        case Product(factors) if _pairwise_coprime([expr_order(f) for f in factors]):
+            spectrum = OrderSpectrum(((1, 1),))
+            primes: set[int] = set()
+            for f in factors:
+                part, part_primes, _ = _spectrum_source(f, entries, cap)
+                spectrum = _convolve_spectra(spectrum, part)
+                primes.update(part_primes)
+            return spectrum, tuple(sorted(primes)), "multiplicative"
+    g = realize(e, entries, cap)
+    return g.order_spectrum(), factorize(g.size).primes(), "brute"
+
+
+def eval_expr(e: GroupExpr, entries=None, cap: int = EVAL_ENUM_CAP) -> StatReport:
+    """Evaluate an expression from its order spectrum, built once by the
+    cheapest exact source (closed form, coprime convolution, enumeration)."""
+    label = expr_text(e)
+    return report_of_spectrum(label, *_spectrum_source(e, entries, cap))

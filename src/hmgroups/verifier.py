@@ -21,7 +21,8 @@ from .exactmath import (euler_phi, factorize, format_rational, is_integer,
                         rational_decimal)
 from .groupkernel import Group, Subgroup, direct_product, is_isomorphic
 from .statistics import (eval_expr, h_m_cyclic_closed, h_m_dihedral_closed,
-                         h_m_of, lemma_bound, m_of, weak_bound)
+                         h_m_of, h_m_pgroup_closed, lemma_bound, m_of,
+                         weak_bound)
 
 WITNESS_CAP = 20
 
@@ -136,7 +137,7 @@ def check_theorem_2_2(entries: list[CatalogEntry], s_max: int = 2,
         n_max = sum(p ** i for i in range(1, s_max + 1))
         expected_ns = _integer_exponents(p, s_max)
         for n in range(1, n_max + 1):
-            h = h_m_pgroup_cyclic(p, n)
+            h = h_m_pgroup_closed(p, n, n + 1)  # |C(C_p^n)| = n + 1
             if is_integer(h) != (n in expected_ns):
                 result.passed = False
                 result.add_witness(
@@ -150,11 +151,6 @@ def check_theorem_2_2(entries: list[CatalogEntry], s_max: int = 2,
 
 def _integer_exponents(p: int, s_max: int) -> set[int]:
     return {sum(p ** i for i in range(1, s + 1)) for s in range(1, s_max + 1)}
-
-
-def h_m_pgroup_cyclic(p: int, n: int) -> Fraction:
-    # |C(C_p^n)| = n + 1
-    return Fraction(p ** (n + 1), (p - 1) * (n + 1) + 1)
 
 
 def check_theorem_2_5(entries: list[CatalogEntry]) -> CheckResult:
@@ -554,7 +550,7 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
                         f"(d) flagged on {e.name}, P = Sylow-{p}: h_m(G) = {hg}, "
                         f"h_m(P)h_m(G/P) = {hp * hq}, P central = {central}")
                 # coset-level inequality m(Px) >= m(P)/o(Px)
-                coset_of, reps = _cosets(g, syl)
+                coset_of, reps = g.cosets(syl)
                 for cid, rep in enumerate(reps):
                     coset_members = [x for x in range(n) if coset_of[x] == cid]
                     m_coset = sum((Fraction(1, g.element_order(x))
@@ -601,18 +597,6 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
             "(d) checked with P a normal cyclic Sylow p-subgroup; no "
             "counterexamples to flag")
     return result
-
-
-def _cosets(g: Group, sub: Subgroup):
-    coset_of = [-1] * g.size
-    reps = []
-    for x in range(g.size):
-        if coset_of[x] == -1:
-            cid = len(reps)
-            reps.append(x)
-            for h in sub.members:
-                coset_of[g.op(x, h)] = cid
-    return coset_of, reps
 
 
 # -- integer-value scan (open question data gathering) -------------------------

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -67,6 +68,15 @@ class TestParser:
         assert "offset" in str(err.value)
 
 
+@pytest.mark.parametrize("command", ["stats", "scan"])
+def test_missing_catalog_entry_is_usage_error(runner, command):
+    res = runner.invoke(main, [command, "Cat(16,99)"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "no catalog entry (16, 99)" in res.output
+    assert "Traceback" not in res.output
+
+
 class TestStats:
     def test_d8(self, runner):
         res = runner.invoke(main, ["stats", "D(8)"])
@@ -93,6 +103,18 @@ class TestStats:
     def test_cap_error_exit_3(self, runner):
         res = runner.invoke(main, ["stats", "S(9)"])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("text, k", [("S(100000)", 456573),
+                                         ("E(2,100000)", 30102)])
+    def test_huge_order_cap_error(self, runner, text, k):
+        # the order has too many digits for str(); the message bounds it
+        start = time.perf_counter()
+        res = runner.invoke(main, ["stats", text])
+        assert time.perf_counter() - start < 2
+        assert res.exit_code == 3
+        assert (f"{text} has order > 10^{k}, above the enumeration cap 4096"
+                in res.output)
+        assert "Traceback" not in res.output
 
     def test_caps_override(self, runner):
         res = runner.invoke(main, ["--caps", "6000", "stats", "E(2,12)"])

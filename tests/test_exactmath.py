@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmgroups.exactmath import (Factorization, divisors, euler_phi, factorize,
-                                format_rational, is_integer, is_prime, rat,
-                                rational_decimal, smallest_prime_divisor,
-                                to_integer)
+                                format_rational, is_integer, is_prime,
+                                phi_from_primes, rat, rational_decimal,
+                                smallest_prime_divisor, to_integer)
 
 
 class TestRat:
@@ -132,6 +132,13 @@ class TestEulerPhi:
         for n in range(1, 10_001):
             assert sum(euler_phi(d) for d in divisors(n)) == n
 
+    def test_from_primes_of_a_multiple(self):
+        # any superset of the primes of d gives phi(d): those of a multiple n
+        for n in (1, 360, 2 ** 10 * 3 ** 5, 9699690):
+            primes = factorize(n).primes()
+            for d in divisors(n):
+                assert phi_from_primes(d, primes) == euler_phi(d)
+
 
 class TestSmallestPrimeDivisor:
     def test_examples(self):
@@ -149,6 +156,12 @@ class TestSmallestPrimeDivisor:
     def test_matches_factorization(self, n):
         assert smallest_prime_divisor(n) == factorize(n).primes()[0]
 
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        primes = [n for n in range(-3, 2000)
+                  if n >= 2 and all(n % k for k in range(2, n))]
+        assert [n for n in range(-3, 2000) if is_prime(n)] == primes
 
 class TestRendering:
     def test_format_always_with_denominator(self):

@@ -172,6 +172,16 @@ class TestNormalityAndQuotients:
         sub = d8.subgroup(d8.generated_subgroup((refl,)))
         assert not d8.is_normal(sub)
 
+    def test_cosets_partition_the_group(self):
+        d12 = fam.dihedral(12)
+        for sub in d12.all_subgroups():
+            coset_of, reps = d12.cosets(sub)
+            assert len(reps) == 12 // sub.size
+            for cid, rep in enumerate(reps):
+                members = {d12.op(rep, h) for h in sub.members}
+                assert {x for x in range(12) if coset_of[x] == cid} == members
+                assert rep == min(members)
+
     def test_quotient_by_whole_group(self):
         s3 = fam.symmetric(3)
         q = s3.quotient(s3.subgroup(range(6)))

@@ -3,8 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmgroups import exactmath, groupkernel, statistics
 from hmgroups import families as fam
+from hmgroups.catalog import default_catalog
+from hmgroups.cli import parse_expr
+from hmgroups.exactmath import euler_phi
 from hmgroups.groupkernel import CapExceeded, direct_product
 from hmgroups.statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral,
                                  ElemAbelian, GenQuaternion, Product, SL23,
@@ -196,6 +202,124 @@ class TestEvalExpr:
     def test_trivial_cyclic(self):
         rep = eval_expr(Cyclic(1))
         assert rep.h_m == 1 and rep.integer
+
+
+ENTRIES = default_catalog()
+
+ATOMS = st.one_of(
+    st.integers(1, 32).map(Cyclic),
+    st.integers(1, 16).map(lambda n: Dihedral(2 * n)),
+    st.sampled_from([8, 16, 32]).map(GenQuaternion),
+    st.sampled_from([16, 32]).map(SemiDihedral),
+    st.integers(2, 8).map(Dicyclic),
+    st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]).map(
+        lambda pk: ElemAbelian(*pk)),
+    st.integers(1, 4).map(Symmetric),
+    st.just(SL23()),
+    st.sampled_from([(e.order, e.id) for e in ENTRIES]).map(
+        lambda key: CatalogRef(*key)),
+)
+EXPRS = st.lists(ATOMS, min_size=1, max_size=3).map(
+    lambda fs: fs[0] if len(fs) == 1 else Product(tuple(fs))).filter(
+    lambda e: expr_order(e) <= 512)
+
+
+def expected_path(e) -> str:
+    if isinstance(e, (Cyclic, Dihedral)):
+        return "closed_form"
+    if isinstance(e, Product):
+        orders = [expr_order(f) for f in e.factors]
+        if all(math.gcd(a, b) == 1
+               for i, a in enumerate(orders) for b in orders[i + 1:]):
+            return "multiplicative"
+    return "brute"
+
+
+class TestSpectrumSources:
+    """Every source (closed form, coprime convolution, enumeration) against
+    the spectrum of the realized group, with m, h_m, |C(G)| and the exponent
+    recomputed here from that spectrum alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(EXPRS)
+    def test_matches_realized_group(self, e):
+        rep = eval_expr(e, ENTRIES)
+        spectrum = realize(e, ENTRIES).order_spectrum()
+        m = sum((Fraction(n, d) for d, n in spectrum), Fraction(0))
+        assert rep.spectrum == spectrum
+        assert rep.order == expr_order(e) == spectrum.total()
+        assert rep.m == m
+        assert rep.h_m == Fraction(rep.order) / m
+        assert rep.integer == (rep.h_m.denominator == 1)
+        assert rep.c_count == sum(n // euler_phi(d) for d, n in spectrum)
+        assert rep.exponent == math.lcm(*(d for d, _ in spectrum))
+        assert rep.path == expected_path(e)
+        assert rep.label == expr_text(e)
+
+    @pytest.mark.parametrize("e", [Cyclic(2 ** 3 * 3 ** 2 * 7 * 999983),
+                                   Cyclic(1), Cyclic(999983),
+                                   Dihedral(2 * 3 ** 4 * 1000003), Dihedral(2)])
+    def test_closed_form_factors_n_once(self, monkeypatch, e):
+        calls = []
+        real = exactmath.factorize
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+        for module in (exactmath, groupkernel, statistics):
+            monkeypatch.setattr(module, "factorize", counting)
+        rep = eval_expr(e)
+        n = e.n if isinstance(e, Cyclic) else e.order // 2
+        assert calls == [n]
+        assert rep.path == "closed_form"
+
+    CAP_TEXT = ("{} has order {}, above the enumeration cap 4096; raise the cap "
+                "or use a coprime product / closed-form expression")
+
+    @pytest.mark.parametrize("text, refused, order", [
+        ("E(2,13)", "E(2,13)", 8192),
+        ("C(12) x C(12) x C(12) x C(12)", "C(12) x C(12) x C(12) x C(12)", 12 ** 4),
+        ("Dic(1025)", "Dic(1025)", 4100),
+        ("S(7)", "S(7)", 5040),
+        ("D(2050) x C(2)", "D(2050) x C(2)", 4100),
+        ("C(2) x D(2050)", "C(2) x D(2050)", 4100),
+        ("SD(2^40)", f"SD({2 ** 40})", 2 ** 40),
+        ("Cat(16,3) x D(258)", "Cat(16,3) x D(258)", 16 * 258),
+        # a coprime product is answered factor by factor: the atom is refused
+        ("C(11) x S(7)", "S(7)", 5040),
+        ("Q(8192) x C(3^5)", "Q(8192)", 8192),
+    ])
+    def test_refusals(self, text, refused, order):
+        with pytest.raises(CapExceeded) as err:
+            eval_expr(parse_expr(text), ENTRIES)
+        assert str(err.value) == self.CAP_TEXT.format(refused, order)
+
+    @pytest.mark.parametrize("text, path, h_m", [
+        ("D(2^20) x C(3)", "multiplicative",
+         h_m_dihedral_closed(2 ** 19) * h_m_cyclic_closed(3)),
+        ("C(2^40) x C(3^25)", "multiplicative",
+         h_m_cyclic_closed(2 ** 40) * h_m_cyclic_closed(3 ** 25)),
+        ("D(4000000)", "closed_form", h_m_dihedral_closed(2 * 10 ** 6)),
+        ("Q(1024) x C(3)", "multiplicative",
+         h_m_pgroup_closed(2, 10, 2 ** 8 + 10) * h_m_cyclic_closed(3)),
+        ("E(2,12)", "brute", Fraction(2 ** 13, 2 ** 12 + 1)),
+    ])
+    def test_answered_controls(self, text, path, h_m):
+        rep = eval_expr(parse_expr(text), ENTRIES)
+        assert rep.path == path
+        assert rep.h_m == h_m
+
+    def test_huge_order_cap_message(self):
+        # orders from 10^50 on are named by a power of ten below them
+        with pytest.raises(CapExceeded) as err:
+            eval_expr(ElemAbelian(2, 166))  # 2^166 < 10^50 < 2^167
+        assert str(err.value) == self.CAP_TEXT.format("E(2,166)", 2 ** 166)
+        with pytest.raises(CapExceeded) as err:
+            eval_expr(ElemAbelian(2, 167))
+        assert str(err.value) == self.CAP_TEXT.format("E(2,167)", "> 10^50")
+        with pytest.raises(CapExceeded) as err:  # 3^9101 has 4343 digits
+            eval_expr(Product((ElemAbelian(3, 9100), Cyclic(3))))
+        assert str(err.value) == self.CAP_TEXT.format("E(3,9100) x C(3)", "> 10^4342")
 
 
 class TestStatReportSerialization:
