@@ -30,11 +30,10 @@ EVAL_ENUM_CAP = 4096
 # -- statistics of concrete groups -------------------------------------------
 
 
-def m_of_spectrum(spectrum: OrderSpectrum, exponent: int | None = None) -> Rational:
+def m_of_spectrum(spectrum: OrderSpectrum) -> Rational:
     """m = sum of n_d / d, summed as one integer numerator over the exponent
-    (every order d divides it); pass the exponent if it is already known."""
-    if exponent is None:
-        exponent = spectrum.exponent()
+    (every order d divides it)."""
+    exponent = spectrum.exponent()
     return Fraction(sum(n * (exponent // d) for d, n in spectrum), exponent)
 
 
@@ -296,7 +295,7 @@ def report_of_spectrum(label: str, spectrum: OrderSpectrum,
     primes of the group order, from which phi(d) is taken for |C(G)|."""
     order = spectrum.total()
     exponent = spectrum.exponent()
-    m = m_of_spectrum(spectrum, exponent)
+    m = m_of_spectrum(spectrum)
     h = Fraction(order) / m
     return StatReport(label=label, order=order, exponent=exponent,
                       spectrum=spectrum, m=m, h_m=h,

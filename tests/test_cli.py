@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import time
 
 import pytest
 from click.testing import CliRunner
@@ -108,9 +107,7 @@ class TestStats:
                                          ("E(2,100000)", 30102)])
     def test_huge_order_cap_error(self, runner, text, k):
         # the order has too many digits for str(); the message bounds it
-        start = time.perf_counter()
         res = runner.invoke(main, ["stats", text])
-        assert time.perf_counter() - start < 2
         assert res.exit_code == 3
         assert (f"{text} has order > 10^{k}, above the enumeration cap 4096"
                 in res.output)
