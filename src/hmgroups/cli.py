@@ -9,8 +9,8 @@ left-associative direct product):
     num   := INT | INT "^" INT
 
 D/Q/SD arguments are the group ORDER (D(8) is the dihedral group of
-order 8).  Exit codes: 0 success, 1 check failure, 2 usage error,
-3 cap/resource error.
+order 8).  Every number is below 10^MAX_NUMBER_DIGITS.  Exit codes:
+0 success, 1 check failure, 2 usage error, 3 cap/resource error.
 """
 
 from __future__ import annotations
@@ -43,6 +43,19 @@ class ExprParseError(ValueError):
 # -- lexer / parser -----------------------------------------------------------
 
 
+# Numbers in expressions are below 10^MAX_NUMBER_DIGITS, checked before they
+# are built.  The h_m of a lone atom of order n can have a numerator near n^2,
+# and Python prints integers of at most 4300 digits.
+MAX_NUMBER_DIGITS = 2150
+_NUMBER_LIMIT = 10 ** MAX_NUMBER_DIGITS
+
+
+def _number_too_large(offset: int) -> ExprParseError:
+    return ExprParseError(
+        f"number not below 10^{MAX_NUMBER_DIGITS}, the bound on expression numbers",
+        offset)
+
+
 # longest match first so "SL23x" lexes as SL23 then the product operator
 _TOKEN_HEADS = ("SL23", "Dic", "Cat", "SD", "C", "D", "Q", "E", "S", "x")
 
@@ -60,7 +73,10 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            digits = text[i:j].lstrip("0")
+            if len(digits) > MAX_NUMBER_DIGITS:
+                raise _number_too_large(i)
+            tokens.append(("int", int(digits or "0"), i))
             i = j
         elif ch.isalpha():
             for head in _TOKEN_HEADS:
@@ -119,7 +135,12 @@ class _Parser:
             if value < 1 or exp < 0:
                 raise ExprParseError("power must have base >= 1, exponent >= 0",
                                      exp_off)
-            return value ** exp
+            # value^exp >= 2^(exp * (bits - 1)): refuse before building it
+            if exp * (value.bit_length() - 1) >= _NUMBER_LIMIT.bit_length():
+                raise _number_too_large(offset)
+            value **= exp
+        if value >= _NUMBER_LIMIT:
+            raise _number_too_large(offset)
         return value
 
     def parse_args(self, count: int) -> list[int]:

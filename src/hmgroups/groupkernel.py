@@ -127,8 +127,12 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
+
     def __contains__(self, idx: int) -> bool:
-        return idx in set(self.members)
+        return idx in self._member_set
 
     def is_trivial(self) -> bool:
         return self.members == (0,)
@@ -229,17 +233,39 @@ class Group:
         return self._index[perm_inverse(self.perms[i])]
 
     def _ensure_table(self):
-        if self._table is None:
-            if self.size > TABLE_CAP:
-                raise CapExceeded(
-                    f"multiplication table for order {self.size} exceeds cap {TABLE_CAP}")
-            idx = self._index
-            self._table = [
-                tuple(idx[compose(p, q)] for q in self.perms) for p in self.perms
-            ]
+        """Build the table from the Cayley graph of the generators (every
+        element when there are none): if y = x*g, then column y is column x
+        mapped through right multiplication by g, so the table costs one
+        composition per element and generator instead of one per cell."""
+        if self._table is not None:
+            return
+        if self.size > TABLE_CAP:
+            raise CapExceeded(
+                f"multiplication table for order {self.size} exceeds cap {TABLE_CAP}")
+        idx = self._index
+        gens = self._gen_indices or tuple(range(self.size))
+        right = [tuple(idx[compose(p, self.perms[g])] for p in self.perms)
+                 for g in gens]
+        cols: list[Perm | None] = [None] * self.size
+        cols[0] = tuple(range(self.size))
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                col = cols[x]
+                for r in right:
+                    y = r[x]
+                    if cols[y] is None:
+                        cols[y] = tuple(map(r.__getitem__, col))
+                        nxt.append(y)
+            frontier = nxt
+        if None in cols:
+            raise ValueError(f"generators {gens} reach {self.size - cols.count(None)} "
+                             f"of {self.size} elements")
+        self._table = list(zip(*cols))
 
     def element_order(self, i: int) -> int:
-        return perm_order(self.perms[i])
+        return self._orders[i]
 
     @cached_property
     def _orders(self) -> tuple[int, ...]:
@@ -265,28 +291,41 @@ class Group:
         return self.order_spectrum().cyclic_count()
 
     def cyclic_subgroups(self) -> list[tuple[int, ...]]:
-        """Distinct sets <a>, sorted; the independent count of C(G)."""
-        seen = set()
-        for i in range(self.size):
-            members = [0]
-            x = i
+        """Distinct sets <a>, sorted; the independent count of C(G).
+
+        The powers of a are walked only when a generates no set found so
+        far; a walk a^0..a^(n-1) marks every a^k with gcd(k, n) = 1, the
+        generators of the same set."""
+        found = []
+        covered = bytearray(self.size)
+        for a in range(self.size):
+            if covered[a]:
+                continue
+            walk = [0]
+            x = a
             while x != 0:
-                members.append(x)
-                x = self.op(x, i)
-            seen.add(tuple(sorted(members)))
-        return sorted(seen, key=lambda t: (len(t), t))
+                walk.append(x)
+                x = self.op(x, a)
+            n = len(walk)
+            for k in range(1, n):
+                if math.gcd(k, n) == 1:
+                    covered[walk[k]] = 1
+            found.append(tuple(sorted(walk)))
+        return sorted(found, key=lambda t: (len(t), t))
 
     # -- subgroup lattice ------------------------------------------------
 
     def generated_subgroup(self, gens: tuple[int, ...]) -> tuple[int, ...]:
         """Members of <gens>, sorted."""
+        table = self._table
         members = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
+                row = None if table is None else table[x]
                 for g in gens:
-                    y = self.op(x, g)
+                    y = self.op(x, g) if row is None else row[g]
                     if y not in members:
                         members.add(y)
                         nxt.append(y)
@@ -294,25 +333,35 @@ class Group:
         return tuple(sorted(members))
 
     def all_subgroups(self, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
-        """Every subgroup, as the join-closure of the cyclic subgroups."""
+        """Every subgroup, as the join-closure of the cyclic subgroups.
+
+        <x1..xk> is reached by joining one cyclic <xi> at a time, so each
+        subgroup found is joined with each cyclic <c>, c outside it, by
+        adding c to the generators it was found with."""
         if self.size > cap:
             raise CapExceeded(f"subgroup enumeration capped at order {cap}")
         self._ensure_table()
-        subs = set(self.cyclic_subgroups())
-        worklist = sorted(subs)
+        orders = self._orders
+        cyclic = self.cyclic_subgroups()
+        # one generator of each cyclic subgroup; the trivial one needs none
+        cyclic_gens = [next(x for x in c if orders[x] == len(c)) for c in cyclic[1:]]
+        gens_of = {cyclic[0]: ()}
+        gens_of.update((c, (g,)) for c, g in zip(cyclic[1:], cyclic_gens))
+        worklist = list(gens_of)
         while worklist:
             fresh = []
-            current = sorted(subs)
             for a in worklist:
-                for b in current:
-                    if a is b:
+                inside = set(a)
+                for c in cyclic_gens:
+                    if c in inside:
                         continue
-                    join = self.generated_subgroup(tuple(set(a) | set(b)))
-                    if join not in subs:
-                        subs.add(join)
+                    gens = gens_of[a] + (c,)
+                    join = self.generated_subgroup(gens)
+                    if join not in gens_of:
+                        gens_of[join] = gens
                         fresh.append(join)
             worklist = fresh
-        return [Subgroup(self, m) for m in sorted(subs, key=lambda t: (len(t), t))]
+        return [Subgroup(self, m) for m in sorted(gens_of, key=lambda t: (len(t), t))]
 
     def subgroup(self, members) -> Subgroup:
         """Wrap a member list as a Subgroup after checking closure."""
@@ -468,17 +517,31 @@ class Group:
                     problems.append(f"row {i} is not a permutation")
                 if {self._table[j][i] for j in range(n)} != full:
                     problems.append(f"column {i} is not a permutation")
-        if n <= exhaustive_limit:
-            triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(samples))
-        for a, b, c in triples:
-            if self.op(self.op(a, b), c) != self.op(a, self.op(b, c)):
-                problems.append(f"associativity fails at ({a},{b},{c})")
-                break
+        failure = self._associativity_failure(exhaustive_limit, samples)
+        if failure is not None:
+            problems.append("associativity fails at ({},{},{})".format(*failure))
         return problems
+
+    def _associativity_failure(self, exhaustive_limit: int, samples: int):
+        """The first triple (a, b, c) with (ab)c != a(bc), or None."""
+        n = self.size
+        if n <= exhaustive_limit:
+            self._ensure_table()
+            table = self._table
+            for a, row_a in enumerate(table):
+                for b, row_b in enumerate(table):
+                    # (ab)c = a(bc) for every c: row ab is row a after row b
+                    row_ab = table[row_a[b]]
+                    if row_ab != compose(row_a, row_b):
+                        c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                        return a, b, c
+            return None
+        rng = random.Random(0)
+        for _ in range(samples):
+            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if self.op(self.op(a, b), c) != self.op(a, self.op(b, c)):
+                return a, b, c
+        return None
 
 
 # -- two-group operations ---------------------------------------------------

@@ -19,10 +19,10 @@ from . import families
 from .catalog import CATALOG_EXHAUSTIVE_LIMIT, CatalogEntry, missing_orders
 from .exactmath import (euler_phi, factorize, format_rational, is_integer,
                         rational_decimal)
-from .groupkernel import Group, Subgroup, direct_product, is_isomorphic
+from .groupkernel import Group, OrderSpectrum, direct_product, is_isomorphic
 from .statistics import (eval_expr, h_m_cyclic_closed, h_m_dihedral_closed,
                          h_m_of, h_m_pgroup_closed, lemma_bound, m_of,
-                         weak_bound)
+                         m_of_spectrum, weak_bound)
 
 WITNESS_CAP = 20
 
@@ -460,8 +460,9 @@ def check_c_convention(n_lo: int = 3, n_hi: int = 8) -> CheckResult:
 # -- proposition 2.1 / 2.2 inequality suite -----------------------------------
 
 
-def _subgroup_m(g: Group, sub: Subgroup) -> Fraction:
-    return sum((Fraction(1, g.element_order(i)) for i in sub.members), Fraction(0))
+def _m_of_elements(g: Group, elements) -> Fraction:
+    """m of a set of elements of g: the sum of 1/o(x), from their spectrum."""
+    return m_of_spectrum(OrderSpectrum.from_orders(map(g.element_order, elements)))
 
 
 def check_prop_2_1_2_2(entries: list[CatalogEntry],
@@ -505,7 +506,7 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
 
         subs = g.all_subgroups()
         for sub in subs:
-            mh = _subgroup_m(g, sub)
+            mh = _m_of_elements(g, sub.members)
             # (b) subgroup monotonicity, strict below the whole group
             if not (mh <= mg and (mh == mg) == sub.is_whole_group()):
                 result.passed = False
@@ -535,7 +536,7 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
             for syl in g.sylow_subgroups(p):
                 if not syl.is_cyclic() or not g.is_normal(syl):
                     continue
-                mp = _subgroup_m(g, syl)
+                mp = _m_of_elements(g, syl.members)
                 q = g.quotient(syl)
                 mq = m_of(q)
                 central = set(syl.members) <= center
@@ -553,8 +554,7 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
                 coset_of, reps = g.cosets(syl)
                 for cid, rep in enumerate(reps):
                     coset_members = [x for x in range(n) if coset_of[x] == cid]
-                    m_coset = sum((Fraction(1, g.element_order(x))
-                                   for x in coset_members), Fraction(0))
+                    m_coset = _m_of_elements(g, coset_members)
                     o_coset = q.element_order(cid)
                     centralizes = all(g.op(rep, h) == g.op(h, rep)
                                       for h in syl.members)
@@ -618,7 +618,7 @@ def scan_integer_hm(entries: list[CatalogEntry], cyclic_max: int = 128,
         rows.append(ScanRow(f"D{2 * n}", 2 * n, h, is_integer(h),
                             "dihedral-family", 10 ** 9))
     for expr in exprs:
-        rep = eval_expr(expr)
+        rep = eval_expr(expr, entries)
         rows.append(ScanRow(rep.label, rep.order, rep.h_m, rep.integer,
                             "expression", 10 ** 9))
     rows.sort(key=ScanRow.sort_key)

@@ -47,6 +47,15 @@ class TestParser:
         for e in exprs:
             assert parse_expr(expr_text(e)) == e
 
+    def test_number_bound(self):
+        # numbers are below 10^2150 whether written as literals or powers
+        assert parse_expr("C(" + "9" * 2150 + ")") == Cyclic(10 ** 2150 - 1)
+        assert parse_expr("C(0" + "9" * 2150 + ")") == Cyclic(10 ** 2150 - 1)
+        for text in ("C(1" + "0" * 2150 + ")", "C(10^2150)", "C(100^1075)",
+                     "E(2,10^2150)"):
+            with pytest.raises(ExprParseError, match="bound on expression numbers"):
+                parse_expr(text)
+
     @pytest.mark.parametrize("text", [
         "D(7)",        # odd dihedral order
         "Q(12)",       # not a power of two
@@ -74,6 +83,39 @@ def test_missing_catalog_entry_is_usage_error(runner, command):
     assert isinstance(res.exception, SystemExit)
     assert "no catalog entry (16, 99)" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["stats", "scan"])
+def test_catalog_file_answers_expressions(runner, tmp_path, entries, command):
+    # Cat(12,1) resolves against --catalog, not the embedded catalog
+    partial = tmp_path / "no12.jsonl"
+    partial.write_text("\n".join(e.to_json_line() for e in entries
+                                 if (e.order, e.id) != (12, 1)) + "\n")
+    res = runner.invoke(main, ["--catalog", str(partial), command, "Cat(12,1)"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "no catalog entry (12, 1)" in res.output
+
+
+@pytest.mark.parametrize("text", [
+    "C(10^5000)",                # a power whose decimal form str() refuses
+    "C(2^100000000)",            # a power that would take 12 MB to build
+    "C(1" + "0" * 5000 + ")",    # a literal that int() refuses
+    "C(2^7143)",                 # the first power of two above the bound
+], ids=["10^5000", "2^100000000", "5001-digit-literal", "2^7143"])
+def test_numbers_above_the_bound_are_usage_errors(runner, text):
+    res = runner.invoke(main, ["stats", text])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "number not below 10^2150, the bound on expression numbers" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("text", ["C(2^7142)", "D(2^7142)", "C(00012)"])
+def test_numbers_below_the_bound_print(runner, text):
+    res = runner.invoke(main, ["stats", text])
+    assert res.exit_code == 0
+    assert "h_m: " in res.output
 
 
 class TestStats:

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from hmgroups import families as fam
+from hmgroups.catalog import default_catalog, get
 from hmgroups.exactmath import euler_phi
-from hmgroups.groupkernel import (CapExceeded, Group, OrderSpectrum,
+from hmgroups.groupkernel import (CapExceeded, Group, OrderSpectrum, compose,
                                   direct_product, is_isomorphic, perm_order)
 
 
@@ -367,3 +368,105 @@ def test_order_spectrum_type():
 def test_perm_order():
     assert perm_order((1, 2, 0, 4, 3)) == 6
     assert perm_order((0, 1, 2)) == 1
+
+
+# -- the kernel against references that use only compose and perm_order --------
+
+
+def _reference_table(g):
+    idx = {p: i for i, p in enumerate(g.perms)}
+    return [tuple(idx[compose(p, q)] for q in g.perms) for p in g.perms]
+
+
+def _reference_cyclic_subgroups(g):
+    idx = {p: i for i, p in enumerate(g.perms)}
+    found = set()
+    for a in g.perms:
+        members, x = [0], a
+        while idx[x] != 0:
+            members.append(idx[x])
+            x = compose(x, a)
+        found.add(tuple(sorted(members)))
+    return found
+
+
+def _reference_subgroups(g):
+    """The join-closure of the cyclic subgroups over every pair of subgroups."""
+    right = list(zip(*_reference_table(g)))  # right[s][x] = x*s
+
+    def join(elements):
+        # generators picked greedily from the elements; each one at least
+        # doubles the closure, which grows from what it already holds
+        gens, members = [], {0}
+        for x in elements:
+            if x not in members:
+                gens.append(right[x])
+                frontier = members | {x}
+                members = set(frontier)
+                while frontier:
+                    frontier = {r[y] for r in gens for y in frontier} - members
+                    members |= frontier
+        return tuple(sorted(members))
+
+    subs = _reference_cyclic_subgroups(g)
+    worklist = list(subs)
+    tried = set()
+    while worklist:
+        fresh = []
+        current = list(subs)
+        for a in worklist:
+            sa = set(a)
+            for b in current:
+                if sa.issuperset(b) or sa.issubset(b) or (b, a) in tried:
+                    continue  # the join is the larger of the two, or known
+                tried.add((a, b))
+                joined = join(sa.union(b))
+                if joined not in subs:
+                    subs.add(joined)
+                    fresh.append(joined)
+        worklist = fresh
+    return subs
+
+
+def _kernel_groups():
+    entries = default_catalog()
+    groups = [e.group() for e in entries]
+    groups += [direct_product(get(entries, 16, 3), fam.cyclic(7)),
+               direct_product(fam.dihedral(64), fam.cyclic(2)),
+               direct_product(fam.sl23(), fam.cyclic(5))]
+    return groups
+
+
+KERNEL_GROUPS = _kernel_groups()
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
+class TestKernelAgainstReference:
+    def test_table(self, g):
+        g._ensure_table()
+        assert [tuple(r) for r in g._table] == _reference_table(g)
+
+    def test_cyclic_subgroups(self, g):
+        got = g.cyclic_subgroups()
+        assert len(got) == len(set(got))
+        assert set(got) == _reference_cyclic_subgroups(g)
+
+    def test_all_subgroups(self, g):
+        subs = g.all_subgroups()
+        got = [s.members for s in subs]
+        assert len(got) == len(set(got))
+        assert set(got) == _reference_subgroups(g)
+        for s in subs:
+            assert [x for x in range(g.size) if x in s] == list(s.members)
+
+    def test_element_order(self, g):
+        assert [g.element_order(i) for i in range(g.size)] == \
+            [perm_order(p) for p in g.perms]
+
+
+def test_table_needs_generators_that_generate():
+    c4 = fam.cyclic(4)
+    square = c4.op(c4._gen_indices[0], c4._gen_indices[0])
+    g = Group(list(c4.perms), gen_indices=(square,))
+    with pytest.raises(ValueError, match="reach 2 of 4"):
+        g._ensure_table()
