@@ -24,13 +24,14 @@ from fractions import Fraction
 
 import click
 
+from . import caps
 from .catalog import (CatalogFormatError, MissingEntry, default_catalog,
                       load_catalog_file, validate_catalog)
 from .exactmath import format_rational, is_prime, rational_decimal
-from .groupkernel import CapExceeded, is_isomorphic
-from .statistics import (EVAL_ENUM_CAP, CatalogRef, Cyclic, Dicyclic, Dihedral,
-                         ElemAbelian, GenQuaternion, GroupExpr, Product, SL23,
-                         SemiDihedral, Symmetric, eval_expr, realize)
+from .groupkernel import is_isomorphic
+from .statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral, ElemAbelian,
+                         GenQuaternion, GroupExpr, Product, SL23, SemiDihedral,
+                         Symmetric, eval_expr, realize)
 from .verifier import CHECKS, run_checks, scan_integer_hm
 
 
@@ -98,6 +99,25 @@ def _tokenize(text: str):
     return tokens
 
 
+# atoms with arguments: argument count, constructor, then the requirements
+# on the arguments, each a test and the message when it fails
+_ATOMS = {
+    "C": (1, Cyclic, (lambda n: n >= 1, "C(n) needs n >= 1")),
+    "D": (1, Dihedral, (lambda n: n >= 2 and n % 2 == 0,
+                        "D(n) needs an even order >= 2, got {0}")),
+    "Q": (1, GenQuaternion, (lambda n: n >= 8 and not n & (n - 1),
+                             "Q(n) needs a power of two >= 8, got {0}")),
+    "SD": (1, SemiDihedral, (lambda n: n >= 16 and not n & (n - 1),
+                             "SD(n) needs a power of two >= 16, got {0}")),
+    "E": (2, ElemAbelian, (lambda p, k: is_prime(p), "E(p,k) needs p prime, got {0}"),
+          (lambda p, k: k >= 1, "E(p,k) needs k >= 1, got {1}")),
+    "S": (1, Symmetric, (lambda n: n >= 1, "S(n) needs n >= 1, got {0}")),
+    "Dic": (1, Dicyclic, (lambda n: n >= 2, "Dic(n) needs n >= 2, got {0}")),
+    "Cat": (2, CatalogRef, (lambda order, gid: order >= 1 and gid >= 1,
+                            "Cat(order,id) needs positive arguments")),
+}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -161,52 +181,13 @@ class _Parser:
             return SL23()
         head = value
         self.pos += 1
-        if head == "C":
-            (n,) = self.parse_args(1)
-            if n < 1:
-                raise ExprParseError("C(n) needs n >= 1", offset)
-            return Cyclic(n)
-        if head == "D":
-            (n,) = self.parse_args(1)
-            if n < 2 or n % 2:
-                raise ExprParseError(f"D(n) needs an even order >= 2, got {n}",
-                                     offset)
-            return Dihedral(n)
-        if head == "Q":
-            (n,) = self.parse_args(1)
-            if n < 8 or n & (n - 1):
-                raise ExprParseError(
-                    f"Q(n) needs a power of two >= 8, got {n}", offset)
-            return GenQuaternion(n)
-        if head == "SD":
-            (n,) = self.parse_args(1)
-            if n < 16 or n & (n - 1):
-                raise ExprParseError(
-                    f"SD(n) needs a power of two >= 16, got {n}", offset)
-            return SemiDihedral(n)
-        if head == "E":
-            p, k = self.parse_args(2)
-            if not is_prime(p):
-                raise ExprParseError(f"E(p,k) needs p prime, got {p}", offset)
-            if k < 1:
-                raise ExprParseError(f"E(p,k) needs k >= 1, got {k}", offset)
-            return ElemAbelian(p, k)
-        if head == "S":
-            (n,) = self.parse_args(1)
-            if n < 1:
-                raise ExprParseError(f"S(n) needs n >= 1, got {n}", offset)
-            return Symmetric(n)
-        if head == "Dic":
-            (n,) = self.parse_args(1)
-            if n < 2:
-                raise ExprParseError(f"Dic(n) needs n >= 2, got {n}", offset)
-            return Dicyclic(n)
-        if head == "Cat":
-            order, gid = self.parse_args(2)
-            if order < 1 or gid < 1:
-                raise ExprParseError("Cat(order,id) needs positive arguments",
-                                     offset)
-            return CatalogRef(order, gid)
+        if head in _ATOMS:
+            count, make, *requirements = _ATOMS[head]
+            args = self.parse_args(count)
+            for valid, message in requirements:
+                if not valid(*args):
+                    raise ExprParseError(message.format(*args), offset)
+            return make(*args)
         raise ExprParseError(f"unknown group name {head!r}", offset)
 
 
@@ -222,12 +203,28 @@ class ResourceError(click.ClickException):
     exit_code = 3
 
 
+class _Command(click.Command):
+    """Every command reports a refusal as exit 3 and a missing catalog entry
+    as a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except caps.CapExceeded as exc:
+            raise ResourceError(str(exc))
+        except MissingEntry as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
+class _Commands(click.Group):
+    command_class = _Command
+
+
 class CliState:
-    def __init__(self, catalog_path, fmt, digits, caps, timestamp):
+    def __init__(self, catalog_path, fmt, digits, timestamp):
         self.catalog_path = catalog_path
         self.format = fmt
         self.digits = digits
-        self.caps = caps
         self.timestamp = timestamp
         self._entries = None
 
@@ -243,31 +240,30 @@ class CliState:
                 self._entries = default_catalog()
         return self._entries
 
-    def eval_cap(self) -> int:
-        return self.caps if self.caps else EVAL_ENUM_CAP
-
 
 def _echo_header(state: CliState):
     if state.timestamp:
         click.echo(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_Commands, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--catalog", "catalog_path", envvar="HM_CATALOG", default=None,
               metavar="PATH", help="Catalog file (default: embedded; env HM_CATALOG).")
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
               default="table", show_default=True, help="Report format.")
 @click.option("--digits", type=click.IntRange(0, 50), default=6, show_default=True,
               help="Decimal display precision (display only; math is exact).")
-@click.option("--caps", type=click.IntRange(1), default=None,
-              help="Override the enumeration cap for concrete evaluation.")
+@click.option("--caps", "enumeration", type=click.IntRange(1), default=None,
+              help="Override the enumeration limit (stats, scan, iso).")
 @click.option("--timestamp", is_flag=True, default=False,
               help="Prepend a timestamp line to reports.")
 @click.version_option(package_name="hmgroups", prog_name="hm")
 @click.pass_context
-def main(ctx, catalog_path, fmt, digits, caps, timestamp):
+def main(ctx, catalog_path, fmt, digits, enumeration, timestamp):
     """Exact harmonic mean of element orders for finite groups."""
-    ctx.obj = CliState(catalog_path, fmt, digits, caps, timestamp)
+    ctx.obj = CliState(catalog_path, fmt, digits, timestamp)
+    if enumeration is not None:
+        ctx.with_resource(caps.override(enumeration=enumeration))
 
 
 def _parse_or_usage(text: str) -> GroupExpr:
@@ -283,12 +279,7 @@ def _parse_or_usage(text: str) -> GroupExpr:
 def stats(state: CliState, expression):
     """Evaluate h_m and related statistics of a group expression."""
     expr = _parse_or_usage(expression)
-    try:
-        report = eval_expr(expr, state.entries, cap=state.eval_cap())
-    except CapExceeded as exc:
-        raise ResourceError(str(exc))
-    except MissingEntry as exc:
-        raise click.UsageError(str(exc))
+    report = eval_expr(expr, state.entries)
     _echo_header(state)
     if state.format == "json":
         click.echo(report.to_json(state.digits))
@@ -364,13 +355,8 @@ def scan(state: CliState, expressions, max_order, families_spec, predicate):
     pred, pred_desc = _parse_predicate(predicate)
     ranges = _parse_families(families_spec)
     exprs = tuple(_parse_or_usage(t) for t in expressions)
-    try:
-        report = scan_integer_hm(state.entries, cyclic_max=ranges["cyclic"],
-                                 dihedral_max=ranges["dihedral"], exprs=exprs)
-    except CapExceeded as exc:
-        raise ResourceError(str(exc))
-    except MissingEntry as exc:
-        raise click.UsageError(str(exc))
+    report = scan_integer_hm(state.entries, cyclic_max=ranges["cyclic"],
+                             dihedral_max=ranges["dihedral"], exprs=exprs)
     rows = report.rows
     if max_order is not None:
         rows = [r for r in rows if r.order <= max_order]
@@ -447,23 +433,9 @@ def verify(state: CliState, check_list, run_all_flag, nmax):
 @click.pass_obj
 def iso(state: CliState, expr_a, expr_b):
     """Decide whether two group expressions are isomorphic."""
-    ga = _realize_or_error(state, expr_a)
-    gb = _realize_or_error(state, expr_b)
-    try:
-        answer = is_isomorphic(ga, gb)
-    except CapExceeded as exc:
-        raise ResourceError(str(exc))
-    click.echo("isomorphic" if answer else "not isomorphic")
-
-
-def _realize_or_error(state: CliState, text: str):
-    expr = _parse_or_usage(text)
-    try:
-        return realize(expr, state.entries, cap=state.eval_cap())
-    except CapExceeded as exc:
-        raise ResourceError(str(exc))
-    except MissingEntry as exc:
-        raise click.UsageError(str(exc))
+    ga = realize(_parse_or_usage(expr_a), state.entries)
+    gb = realize(_parse_or_usage(expr_b), state.entries)
+    click.echo("isomorphic" if is_isomorphic(ga, gb) else "not isomorphic")
 
 
 @main.command("catalog-validate")

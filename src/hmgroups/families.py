@@ -8,8 +8,9 @@ left-regular action on their a^i b^j normal forms.
 
 from __future__ import annotations
 
+from . import caps
 from .exactmath import is_prime
-from .groupkernel import CLOSURE_CAP, Group
+from .groupkernel import Group
 
 
 def _power_of_two(n: int) -> bool:
@@ -50,8 +51,8 @@ def dicyclic(n: int, label: str | None = None) -> Group:
     if n < 2:
         raise ValueError(f"dicyclic parameter must be >= 2, got {n}")
     big_n = 2 * n
-    if 4 * n > CLOSURE_CAP:
-        raise ValueError(f"dicyclic order {4 * n} exceeds the closure cap")
+    label = label or f"Dic{n}"
+    caps.check("closure", 4 * n, label)
 
     def idx(i: int, j: int) -> int:
         return 2 * (i % big_n) + j
@@ -66,8 +67,7 @@ def dicyclic(n: int, label: str | None = None) -> Group:
                 perm_b[idx(i, j)] = idx(-i, 1)
             else:
                 perm_b[idx(i, j)] = idx(n - i, 0)
-    return Group.from_generators(4 * n, [tuple(perm_a), tuple(perm_b)],
-                                 label=label or f"Dic{n}")
+    return Group.from_generators(4 * n, [tuple(perm_a), tuple(perm_b)], label=label)
 
 
 def generalized_quaternion(two_pow_n: int, label: str | None = None) -> Group:
@@ -107,8 +107,8 @@ def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k}")
-    if p ** k > CLOSURE_CAP:
-        raise ValueError(f"order {p}^{k} exceeds the closure cap")
+    label = label or f"C{p}^{k}"
+    caps.check("closure", p ** k, label)
     degree = p * k
     gens = []
     for block in range(k):
@@ -117,7 +117,7 @@ def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
         for x in range(p):
             images[base + x] = base + (x + 1) % p
         gens.append(tuple(images))
-    return Group.from_generators(degree, gens, label=label or f"C{p}^{k}")
+    return Group.from_generators(degree, gens, label=label)
 
 
 def symmetric(n: int, label: str | None = None) -> Group:

@@ -22,19 +22,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import caps
+from .caps import CapExceeded  # noqa: F401 -- the refusal type callers catch here
 from .exactmath import factorize, is_prime, phi_from_primes
 
-CLOSURE_CAP = 2_000_000
-TABLE_CAP = 4096
-SUBGROUP_CAP = 200
-ISO_CAP = 256
-PRODUCT_CAP = 65_536
-
 Perm = tuple[int, ...]
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration exceeded its configured size cap."""
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -170,8 +162,7 @@ class Group:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_generators(cls, degree: int, gens, label: str | None = None,
-                        closure_cap: int = CLOSURE_CAP) -> "Group":
+    def from_generators(cls, degree: int, gens, label: str | None = None) -> "Group":
         """BFS closure of permutation generators; deterministic ordering."""
         gen_perms = []
         for k, g in enumerate(gens):
@@ -180,6 +171,8 @@ class Group:
                 raise ValueError(
                     f"generator {k} is not a permutation of 0..{degree - 1}: {g}")
             gen_perms.append(g)
+        limit = caps.LIMITS["closure"]
+        subject = f"the partial closure of {label or 'the generators'}"
         ident = identity_perm(degree)
         elems = [ident]
         index = {ident: 0}
@@ -193,9 +186,8 @@ class Group:
                         index[q] = len(elems)
                         elems.append(q)
                         nxt.append(q)
-                        if len(elems) > closure_cap:
-                            raise CapExceeded(
-                                f"closure exceeds cap of {closure_cap} elements")
+                        if len(elems) > limit:
+                            caps.check("closure", len(elems), subject)
             frontier = nxt
         gen_idx = tuple(index[g] for g in gen_perms)
         return cls(elems, label=label, gen_indices=gen_idx)
@@ -239,9 +231,7 @@ class Group:
         composition per element and generator instead of one per cell."""
         if self._table is not None:
             return
-        if self.size > TABLE_CAP:
-            raise CapExceeded(
-                f"multiplication table for order {self.size} exceeds cap {TABLE_CAP}")
+        caps.check("table", self.size, self.label)
         idx = self._index
         gens = self._gen_indices or tuple(range(self.size))
         right = [tuple(idx[compose(p, self.perms[g])] for p in self.perms)
@@ -332,14 +322,13 @@ class Group:
             frontier = nxt
         return tuple(sorted(members))
 
-    def all_subgroups(self, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
+    def all_subgroups(self) -> list[Subgroup]:
         """Every subgroup, as the join-closure of the cyclic subgroups.
 
         <x1..xk> is reached by joining one cyclic <xi> at a time, so each
         subgroup found is joined with each cyclic <c>, c outside it, by
         adding c to the generators it was found with."""
-        if self.size > cap:
-            raise CapExceeded(f"subgroup enumeration capped at order {cap}")
+        caps.check("subgroups", self.size, self.label)
         self._ensure_table()
         orders = self._orders
         cyclic = self.cyclic_subgroups()
@@ -425,18 +414,14 @@ class Group:
                     return False
         return True
 
-    def sylow_subgroups(self, p: int, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
+    def sylow_subgroups(self, p: int) -> list[Subgroup]:
         """All subgroups of order p^k where p^k exactly divides |G|."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if self.size % p != 0:
             raise ValueError(f"{p} does not divide the group order {self.size}")
-        pk = 1
-        n = self.size
-        while n % p == 0:
-            n //= p
-            pk *= p
-        return [s for s in self.all_subgroups(cap=cap) if s.size == pk]
+        pk = p ** dict(factorize(self.size).pairs)[p]
+        return [s for s in self.all_subgroups() if s.size == pk]
 
     # -- generators and words ----------------------------------------------
 
@@ -547,12 +532,10 @@ class Group:
 # -- two-group operations ---------------------------------------------------
 
 
-def direct_product(a: Group, b: Group, label: str | None = None,
-                   cap: int = PRODUCT_CAP) -> Group:
+def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
     """Componentwise product on pairs, realized on the disjoint point sets."""
-    if a.size * b.size > cap:
-        raise CapExceeded(
-            f"direct product of orders {a.size} x {b.size} exceeds cap {cap}")
+    label = label or f"{a.label} x {b.label}"
+    caps.check("enumeration", a.size * b.size, label)
     da = a.degree
     shifted = [tuple(x + da for x in p) for p in b.perms]
     perms = [pa + pb for pa in a.perms for pb in shifted]
@@ -561,8 +544,7 @@ def direct_product(a: Group, b: Group, label: str | None = None,
         gen_indices = tuple(g * b.size for g in a._gen_indices) + tuple(b._gen_indices)
     else:
         gen_indices = ()
-    return Group(perms, label=label or f"{a.label} x {b.label}",
-                 gen_indices=gen_indices)
+    return Group(perms, label=label, gen_indices=gen_indices)
 
 
 def _invariants_differ(a: Group, b: Group) -> bool:
@@ -575,10 +557,10 @@ def _invariants_differ(a: Group, b: Group) -> bool:
     return False
 
 
-def is_isomorphic(a: Group, b: Group, cap: int = ISO_CAP) -> bool:
+def is_isomorphic(a: Group, b: Group) -> bool:
     """Backtracking over generator images, pruning on element orders."""
-    if a.size > cap or b.size > cap:
-        raise CapExceeded(f"isomorphism test capped at order {cap}")
+    for g in (a, b):
+        caps.check("iso", g.size, g.label)
     if _invariants_differ(a, b):
         return False
     if a.size == 1:

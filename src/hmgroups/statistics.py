@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import caps
 from . import catalog as catalog_mod
 from . import families
 from .exactmath import (Rational, factorize, format_rational, is_integer,
                         phi_from_primes, rational_decimal, smallest_prime_divisor)
-from .groupkernel import CapExceeded, Group, OrderSpectrum, direct_product
-
-EVAL_ENUM_CAP = 4096
+from .groupkernel import Group, OrderSpectrum, direct_product
 
 
 # -- statistics of concrete groups -------------------------------------------
@@ -164,17 +163,29 @@ GroupExpr = (Cyclic | Dihedral | GenQuaternion | SemiDihedral | ElemAbelian
              | Symmetric | SL23 | Dicyclic | CatalogRef | Product)
 
 
-def expr_order(e: GroupExpr) -> int:
-    """Group order of an expression, computed without enumeration."""
+# An S(n) or E(p,k) of more than _BUILD_BITS bits by a lower bound is not
+# built: n! >= (n//2 + 1)^ceil(n/2) and p^k >= 2^(k(bits(p) - 1)).  No
+# enumeration limit that --caps can set (at most 4300 digits) comes near
+# that size, and building it can take minutes.
+_BUILD_BITS = 1 << 22
+
+
+def _huge(bits: int) -> caps.Huge | None:
+    return caps.Huge(bits) if bits > _BUILD_BITS else None
+
+
+def expr_order(e: GroupExpr) -> int | caps.Huge:
+    """Group order of an expression, computed without enumeration; for an
+    S(n) or E(p,k) too large to build, a lower bound on it."""
     match e:
         case Cyclic(n):
             return n
         case Dihedral(order) | GenQuaternion(order) | SemiDihedral(order):
             return order
         case ElemAbelian(p, k):
-            return p ** k
+            return _huge(k * (p.bit_length() - 1)) or p ** k
         case Symmetric(n):
-            return math.factorial(n)
+            return _huge((n + 1) // 2 * ((n // 2).bit_length() - 1)) or math.factorial(n)
         case SL23():
             return 24
         case Dicyclic(n):
@@ -182,10 +193,9 @@ def expr_order(e: GroupExpr) -> int:
         case CatalogRef(order, _):
             return order
         case Product(factors):
-            result = 1
-            for f in factors:
-                result *= expr_order(f)
-            return result
+            orders = [expr_order(f) for f in factors]
+            huge = [o.bits for o in orders if isinstance(o, caps.Huge)]
+            return caps.Huge(sum(huge)) if huge else math.prod(orders)
     raise TypeError(f"not a group expression: {e!r}")
 
 
@@ -215,17 +225,9 @@ def expr_text(e: GroupExpr) -> str:
     raise TypeError(f"not a group expression: {e!r}")
 
 
-def realize(e: GroupExpr, entries=None, cap: int = EVAL_ENUM_CAP) -> Group:
-    """Concrete Group for an expression; enumeration-capped."""
-    order = expr_order(e)
-    if order > cap:
-        # str() refuses integers of over 4300 digits: name a power of ten
-        # below a huge order instead, 10^k with k <= (bits - 1) * log10(2)
-        size = (str(order) if order < 10 ** 50
-                else f"> 10^{(order.bit_length() - 1) * 3010299956 // 10 ** 10}")
-        raise CapExceeded(
-            f"{expr_text(e)} has order {size}, above the enumeration cap {cap}; "
-            f"raise the cap or use a coprime product / closed-form expression")
+def realize(e: GroupExpr, entries=None) -> Group:
+    """Concrete Group for an expression, within the enumeration limit."""
+    caps.check("enumeration", expr_order(e), expr_text(e))
     match e:
         case Cyclic(n):
             return families.cyclic(n)
@@ -248,9 +250,9 @@ def realize(e: GroupExpr, entries=None, cap: int = EVAL_ENUM_CAP) -> Group:
                 entries = catalog_mod.default_catalog()
             return catalog_mod.get(entries, order, gid)
         case Product(factors):
-            g = realize(factors[0], entries, cap)
+            g = realize(factors[0], entries)
             for f in factors[1:]:
-                g = direct_product(g, realize(f, entries, cap), cap=cap)
+                g = direct_product(g, realize(f, entries))
             return g
     raise TypeError(f"not a group expression: {e!r}")
 
@@ -312,8 +314,10 @@ def _convolve_spectra(a: OrderSpectrum, b: OrderSpectrum) -> OrderSpectrum:
     return OrderSpectrum(tuple(sorted(counts.items())))
 
 
-def _pairwise_coprime(orders: list[int]) -> bool:
-    return all(math.gcd(a, b) == 1 for a, b in itertools.combinations(orders, 2))
+# an order too large to build is coprime to nothing: the product is refused whole
+def _pairwise_coprime(orders: list[int | caps.Huge]) -> bool:
+    return (not any(isinstance(o, caps.Huge) for o in orders)
+            and all(math.gcd(a, b) == 1 for a, b in itertools.combinations(orders, 2)))
 
 
 def _closed_form(n: int, reflections: int = 0):
@@ -328,11 +332,11 @@ def _closed_form(n: int, reflections: int = 0):
     return OrderSpectrum(tuple(sorted(counts.items()))), primes, "closed_form"
 
 
-def _spectrum_source(e: GroupExpr, entries, cap: int):
+def _spectrum_source(e: GroupExpr, entries):
     """(order spectrum, primes of the order, path) of an expression: the
     closed form of a lone C(n) or D(2n), the lcm-convolution of the factors'
-    spectra for a pairwise-coprime product, and enumeration under the cap
-    for anything else."""
+    spectra for a pairwise-coprime product, and enumeration within the
+    limit for anything else."""
     match e:
         case Cyclic(n):
             return _closed_form(n)
@@ -342,16 +346,16 @@ def _spectrum_source(e: GroupExpr, entries, cap: int):
             spectrum = OrderSpectrum(((1, 1),))
             primes: set[int] = set()
             for f in factors:
-                part, part_primes, _ = _spectrum_source(f, entries, cap)
+                part, part_primes, _ = _spectrum_source(f, entries)
                 spectrum = _convolve_spectra(spectrum, part)
                 primes.update(part_primes)
             return spectrum, tuple(sorted(primes)), "multiplicative"
-    g = realize(e, entries, cap)
+    g = realize(e, entries)
     return g.order_spectrum(), factorize(g.size).primes(), "brute"
 
 
-def eval_expr(e: GroupExpr, entries=None, cap: int = EVAL_ENUM_CAP) -> StatReport:
+def eval_expr(e: GroupExpr, entries=None) -> StatReport:
     """Evaluate an expression from its order spectrum, built once by the
     cheapest exact source (closed form, coprime convolution, enumeration)."""
     label = expr_text(e)
-    return report_of_spectrum(label, *_spectrum_source(e, entries, cap))
+    return report_of_spectrum(label, *_spectrum_source(e, entries))

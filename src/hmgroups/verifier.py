@@ -530,10 +530,11 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
                     result.passed = False
                     result.add_witness(e.name, f"(c) h_m vs |H| h_m(G/H), |H| = {sub.size}")
 
-        # (d) normal cyclic Sylow subgroups: flagged, not failed
+        # (d) normal cyclic Sylow subgroups, taken from the lattice of (b)
+        #     and (c): flagged, not failed
         center = set(g.center().members)
-        for p in factorize(n).primes():
-            for syl in g.sylow_subgroups(p):
+        for p, k in factorize(n):
+            for syl in [h for h in subs if h.size == p ** k]:
                 if not syl.is_cyclic() or not g.is_normal(syl):
                     continue
                 mp = _m_of_elements(g, syl.members)

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from hmgroups import caps
 from hmgroups.cli import ExprParseError, main, parse_expr
 from hmgroups.statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral,
                                  ElemAbelian, GenQuaternion, Product, SL23,
@@ -74,6 +75,24 @@ class TestParser:
         with pytest.raises(ExprParseError) as err:
             parse_expr(text)
         assert "offset" in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("C(0)", "C(n) needs n >= 1"),
+        ("D(0)", "D(n) needs an even order >= 2, got 0"),
+        ("Q(4)", "Q(n) needs a power of two >= 8, got 4"),
+        ("SD(24)", "SD(n) needs a power of two >= 16, got 24"),
+        ("E(4,0)", "E(p,k) needs p prime, got 4"),
+        ("E(2,0)", "E(p,k) needs k >= 1, got 0"),
+        ("S(0)", "S(n) needs n >= 1, got 0"),
+        ("Dic(1)", "Dic(n) needs n >= 2, got 1"),
+        ("Cat(4,0)", "Cat(order,id) needs positive arguments"),
+        ("C(2) x D(9)", "D(n) needs an even order >= 2, got 9"),
+    ])
+    def test_requirement_messages(self, text, message):
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(text)
+        offset = text.rindex(" ") + 1 if " " in text else 0
+        assert str(err.value) == f"{message} (at offset {offset})"
 
 
 @pytest.mark.parametrize("command", ["stats", "scan"])
@@ -189,6 +208,63 @@ class TestStats:
         for text, group in cases:
             res = runner.invoke(main, ["stats", text])
             assert f"h_m: {format_rational(h_m_of(group))} " in res.output, text
+
+
+class TestRefusals:
+    """Each limit the CLI can reach exits 3 naming it, without a traceback."""
+
+    @pytest.mark.parametrize("args, name", [
+        (["--caps", "3000000", "stats", "Dic(600000)"], "closure"),
+        (["--caps", "3000000", "stats", "E(2,21)"], "closure"),
+        (["iso", "C(300)", "C(300)"], "iso"),
+        (["stats", "S(10^7)"], "enumeration"),
+        (["stats", "E(7,10^2000)"], "enumeration"),
+        (["stats", "S(10^6) x C(7)"], "enumeration"),
+    ])
+    def test_refusal(self, runner, args, name):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert f"above the {name} cap" in res.output
+        assert "Traceback" not in res.output
+
+    def test_catalog_validate_refusal(self, runner, tmp_path):
+        # two cyclic groups of order 300 are compared by the isomorphism search
+        lines = ["# hmcat v1"]
+        for gid, step in ((1, 1), (2, 7)):
+            gen = [(i + step) % 300 for i in range(300)]
+            lines.append(json.dumps({"order": 300, "id": gid, "name": f"C300-{gid}",
+                                     "degree": 300, "gens": [gen]}))
+        path = tmp_path / "big.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["--catalog", str(path), "catalog-validate"])
+        assert res.exit_code == 3
+        assert "above the iso cap 256" in res.output
+        assert "Traceback" not in res.output
+
+    def test_caps_reaches_scan(self, runner):
+        res = runner.invoke(main, ["--caps", "100000", "scan", "E(2,13)"])
+        assert res.exit_code == 0
+        assert "E(2,13)        8192        16384/8193" in res.output
+
+    def test_caps_reaches_iso(self, runner):
+        res = runner.invoke(main, ["iso", "E(2,13)", "C(2) x E(2,12)"])
+        assert res.exit_code == 3
+        assert "above the enumeration cap 4096" in res.output
+        res = runner.invoke(main, ["--caps", "8192", "iso", "E(2,13)", "C(2) x E(2,12)"])
+        assert res.exit_code == 3
+        assert "above the iso cap 256" in res.output
+
+    @pytest.mark.parametrize("args", [["--caps", "6000", "stats", "E(2,12)"],
+                                      ["--caps", "6000", "stats", "E(2,13)"]])
+    def test_caps_restored_after_command(self, runner, args):
+        defaults = dict(caps.LIMITS)
+        runner.invoke(main, args)
+        assert caps.LIMITS == defaults
+
+    def test_caps_bounded_by_int_parsing(self, runner):
+        res = runner.invoke(main, ["--caps", "1" * 4301, "stats", "C(2)"])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
 
 
 class TestScan:

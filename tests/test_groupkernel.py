@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hmgroups import caps
 from hmgroups import families as fam
 from hmgroups.catalog import default_catalog, get
 from hmgroups.exactmath import euler_phi
@@ -37,9 +38,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Group.from_generators(3, [(0, 0, 1)])
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
+        monkeypatch.setitem(caps.LIMITS, "closure", 3)
         with pytest.raises(CapExceeded):
-            Group.from_generators(5, [(1, 2, 3, 4, 0)], closure_cap=3)
+            Group.from_generators(5, [(1, 2, 3, 4, 0)])
 
     def test_deterministic_enumeration(self):
         a = Group.from_generators(3, [(1, 2, 0), (1, 0, 2)])
@@ -142,9 +144,10 @@ class TestSubgroups:
             for s in e.group().all_subgroups():
                 assert e.order % s.size == 0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setitem(caps.LIMITS, "subgroups", 10)
         with pytest.raises(CapExceeded):
-            fam.cyclic(12).all_subgroups(cap=10)
+            fam.cyclic(12).all_subgroups()
 
     def test_subgroup_wrapper_rejects_non_closed(self):
         s3 = fam.symmetric(3)
@@ -242,9 +245,10 @@ class TestDirectProduct:
                 assert prod.element_order(pair_index) == math.lcm(
                     a.element_order(i), b.element_order(j))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setitem(caps.LIMITS, "enumeration", 5000)
         with pytest.raises(CapExceeded):
-            direct_product(fam.cyclic(100), fam.cyclic(100), cap=5000)
+            direct_product(fam.cyclic(100), fam.cyclic(100))
 
 
 class TestCenterAndNilpotency:
@@ -324,9 +328,10 @@ class TestIsomorphism:
             assert twin.size == e.order
             assert is_isomorphic(e.group(), twin), e.name
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setitem(caps.LIMITS, "iso", 256)
         with pytest.raises(CapExceeded):
-            is_isomorphic(fam.cyclic(300), fam.cyclic(300), cap=256)
+            is_isomorphic(fam.cyclic(300), fam.cyclic(300))
 
 
 class TestSylow:

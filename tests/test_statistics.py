@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmgroups import exactmath, groupkernel, statistics
+from hmgroups import caps, exactmath, groupkernel, statistics
 from hmgroups import families as fam
 from hmgroups.catalog import default_catalog
 from hmgroups.cli import parse_expr
@@ -320,6 +320,29 @@ class TestSpectrumSources:
         with pytest.raises(CapExceeded) as err:  # 3^9101 has 4343 digits
             eval_expr(Product((ElemAbelian(3, 9100), Cyclic(3))))
         assert str(err.value) == self.CAP_TEXT.format("E(3,9100) x C(3)", "> 10^4342")
+
+    @pytest.mark.parametrize("e, k", [
+        (Symmetric(10 ** 6), 2709269),  # 500000 * 18 bits
+        (Symmetric(10 ** 7), 33113299),
+        (ElemAbelian(2, 10 ** 9), 301029995),
+        (ElemAbelian(7, 10 ** 2000), 2 * 10 ** 2000 * 3010299956 // 10 ** 10),
+        (Product((Symmetric(10 ** 6), Cyclic(7))), 2709269),
+        (Product((Cyclic(3), ElemAbelian(2, 10 ** 9))), 301029995),
+    ])
+    def test_huge_order_not_built(self, e, k):
+        assert isinstance(expr_order(e), caps.Huge)
+        with pytest.raises(CapExceeded) as err:
+            eval_expr(e)
+        assert str(err.value) == self.CAP_TEXT.format(expr_text(e), f"> 10^{k}")
+
+    @pytest.mark.parametrize("e, exact", [(Symmetric(n), math.factorial(n))
+                                          for n in (1, 2, 3, 4, 5, 17, 64, 1000)]
+                             + [(ElemAbelian(p, k), p ** k)
+                                for p in (2, 3, 7, 31) for k in (1, 5, 99)])
+    def test_order_bound_is_a_lower_bound(self, monkeypatch, e, exact):
+        monkeypatch.setattr(statistics, "_BUILD_BITS", 0)
+        bound = expr_order(e)
+        assert bound == exact if isinstance(bound, int) else 2 ** bound.bits <= exact
 
 
 class TestStatReportSerialization:

@@ -1,5 +1,6 @@
 import pytest
 
+from hmgroups.groupkernel import Group
 from hmgroups.statistics import Cyclic, Product, SL23
 from hmgroups.verifier import (CHECKS, check_c_convention, check_congruences,
                                check_eq_9, check_lemma_2_1, check_prop_2_1_2_2,
@@ -121,6 +122,18 @@ class TestPropSuite:
         assert res.passed, res.witnesses
         # part (d) runs but finds nothing to flag
         assert any(c.startswith("(d)") for c in res.caveats)
+
+    def test_one_lattice_per_group(self, entries, monkeypatch):
+        # part (d) takes the Sylow subgroups from the lattice of (b) and (c)
+        calls = []
+        real = Group.all_subgroups
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+        monkeypatch.setattr(Group, "all_subgroups", counting)
+        check_prop_2_1_2_2(entries)
+        assert len(calls) == len({id(g) for g in calls}) == 42
 
 
 class TestScan:
