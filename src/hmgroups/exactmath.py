@@ -9,6 +9,7 @@ produced by integer long division, display-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,6 +96,49 @@ def factorize(n: int) -> Factorization:
     if n > 1:
         pairs.append((n, 1))
     return Factorization(tuple(pairs))
+
+
+SIEVE_BLOCK = 1 << 16
+
+
+def m_cyclic_terms(limit: int):
+    """(n, A, B) for n = 1..limit, where m(C_n) = A/B with A the product of
+    (k+1)(p-1)+1 and B the product of p over the prime powers p^k || n.
+
+    A segmented sieve: the primes up to sqrt(limit) are found once, then
+    each block of SIEVE_BLOCK numbers is divided by them, so memory does
+    not grow with `limit`.  A/B is not reduced.
+    """
+    primes = [p for p in range(2, math.isqrt(max(limit, 0)) + 1) if is_prime(p)]
+    for lo in range(1, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        # no name holds a finished block, so it is freed before the next one
+        yield from zip(range(lo, hi), *_block_terms(lo, hi, primes))
+
+
+def _block_terms(lo: int, hi: int, primes: list[int]) -> tuple[list[int], list[int]]:
+    """The lists of A and B for n in [lo, hi)."""
+    rest = list(range(lo, hi))
+    num = [1] * (hi - lo)
+    den = [1] * (hi - lo)
+    for p in primes:
+        if p * p >= hi:
+            break
+        for i in range(-lo % p, hi - lo, p):
+            r = rest[i] // p
+            k = 1
+            while r % p == 0:
+                r //= p
+                k += 1
+            rest[i] = r
+            num[i] *= k * (p - 1) + p
+            den[i] *= p
+    # what is left of n after its primes up to sqrt(n) is 1 or one prime
+    for i, r in enumerate(rest):
+        if r > 1:
+            num[i] *= 2 * r - 1
+            den[i] *= r
+    return num, den
 
 
 def divisors(n: int) -> list[int]:

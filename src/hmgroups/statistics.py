@@ -193,10 +193,13 @@ def expr_order(e: GroupExpr) -> int | caps.Huge:
         case CatalogRef(order, _):
             return order
         case Product(factors):
-            orders = [expr_order(f) for f in factors]
-            huge = [o.bits for o in orders if isinstance(o, caps.Huge)]
-            return caps.Huge(sum(huge)) if huge else math.prod(orders)
+            return _product_order([expr_order(f) for f in factors])
     raise TypeError(f"not a group expression: {e!r}")
+
+
+def _product_order(orders: list[int | caps.Huge]) -> int | caps.Huge:
+    huge = [o.bits for o in orders if isinstance(o, caps.Huge)]
+    return caps.Huge(sum(huge)) if huge else math.prod(orders)
 
 
 def expr_text(e: GroupExpr) -> str:
@@ -225,9 +228,16 @@ def expr_text(e: GroupExpr) -> str:
     raise TypeError(f"not a group expression: {e!r}")
 
 
-def realize(e: GroupExpr, entries=None) -> Group:
-    """Concrete Group for an expression, within the enumeration limit."""
-    caps.check("enumeration", expr_order(e), expr_text(e))
+def realize(e: GroupExpr, entries=None, order=None) -> Group:
+    """Concrete Group for an expression, within the enumeration limit;
+    `order` is expr_order(e), when the caller has it already."""
+    caps.check("enumeration", expr_order(e) if order is None else order, expr_text(e))
+    return _build(e, entries)
+
+
+def _build(e: GroupExpr, entries) -> Group:
+    """realize without the check: no factor of a product is larger than
+    the product, and direct_product checks each partial product."""
     match e:
         case Cyclic(n):
             return families.cyclic(n)
@@ -250,9 +260,9 @@ def realize(e: GroupExpr, entries=None) -> Group:
                 entries = catalog_mod.default_catalog()
             return catalog_mod.get(entries, order, gid)
         case Product(factors):
-            g = realize(factors[0], entries)
+            g = _build(factors[0], entries)
             for f in factors[1:]:
-                g = direct_product(g, realize(f, entries))
+                g = direct_product(g, _build(f, entries))
             return g
     raise TypeError(f"not a group expression: {e!r}")
 
@@ -332,25 +342,29 @@ def _closed_form(n: int, reflections: int = 0):
     return OrderSpectrum(tuple(sorted(counts.items()))), primes, "closed_form"
 
 
-def _spectrum_source(e: GroupExpr, entries):
+def _spectrum_source(e: GroupExpr, entries, order=None):
     """(order spectrum, primes of the order, path) of an expression: the
     closed form of a lone C(n) or D(2n), the lcm-convolution of the factors'
     spectra for a pairwise-coprime product, and enumeration within the
-    limit for anything else."""
+    limit for anything else.  `order` is expr_order(e), when known: each
+    factor's order is computed once, as an S(n) order may be costly."""
     match e:
         case Cyclic(n):
             return _closed_form(n)
-        case Dihedral(order):
-            return _closed_form(order // 2, reflections=order // 2)
-        case Product(factors) if _pairwise_coprime([expr_order(f) for f in factors]):
-            spectrum = OrderSpectrum(((1, 1),))
-            primes: set[int] = set()
-            for f in factors:
-                part, part_primes, _ = _spectrum_source(f, entries)
-                spectrum = _convolve_spectra(spectrum, part)
-                primes.update(part_primes)
-            return spectrum, tuple(sorted(primes)), "multiplicative"
-    g = realize(e, entries)
+        case Dihedral(two_n):
+            return _closed_form(two_n // 2, reflections=two_n // 2)
+        case Product(factors):
+            orders = [expr_order(f) for f in factors]
+            if _pairwise_coprime(orders):
+                spectrum = OrderSpectrum(((1, 1),))
+                primes: set[int] = set()
+                for f, f_order in zip(factors, orders):
+                    part, part_primes, _ = _spectrum_source(f, entries, f_order)
+                    spectrum = _convolve_spectra(spectrum, part)
+                    primes.update(part_primes)
+                return spectrum, tuple(sorted(primes)), "multiplicative"
+            order = _product_order(orders)
+    g = realize(e, entries, order)
     return g.order_spectrum(), factorize(g.size).primes(), "brute"
 
 

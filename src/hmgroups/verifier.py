@@ -18,11 +18,10 @@ from fractions import Fraction
 from . import families
 from .catalog import CATALOG_EXHAUSTIVE_LIMIT, CatalogEntry, missing_orders
 from .exactmath import (euler_phi, factorize, format_rational, is_integer,
-                        rational_decimal)
+                        m_cyclic_terms, rational_decimal)
 from .groupkernel import Group, OrderSpectrum, direct_product, is_isomorphic
-from .statistics import (eval_expr, h_m_cyclic_closed, h_m_dihedral_closed,
-                         h_m_of, h_m_pgroup_closed, lemma_bound, m_of,
-                         m_of_spectrum, weak_bound)
+from .statistics import (eval_expr, h_m_of, h_m_pgroup_closed, lemma_bound,
+                         m_of, m_of_spectrum, weak_bound)
 
 WITNESS_CAP = 20
 
@@ -225,6 +224,7 @@ def check_theorem_2_8(entries: list[CatalogEntry]) -> CheckResult:
         if complete:
             result.passed = False
         result.add_witness("minimum",
+                           "no catalog group of order 2..16" if min_h is None else
                            f"min h_m = {format_rational(min_h)} at "
                            f"{[e.name for e in min_entries]}")
     return result
@@ -253,20 +253,28 @@ def check_prop_2_6(n_max: int = 100_000) -> CheckResult:
                    f"(closed form)",
         passed=True)
     integer_ns = []
-    for n in range(2, n_max + 1):
-        h = h_m_dihedral_closed(n)
-        if h.denominator == 1:
+    for n, a, b in m_cyclic_terms(n_max):
+        if n < 2:
+            continue
+        num, den = _dihedral_terms(n, a, b)
+        if num % den == 0:
             integer_ns.append(n)
-            result.add_witness(f"D{2 * n}", f"h_m = {format_rational(h)}")
-        if not (1 < h < 4):
+            result.add_witness(f"D{2 * n}", f"h_m = {format_rational(Fraction(num, den))}")
+        if not den < num < 4 * den:
             result.passed = False
-            result.add_witness(f"D{2 * n}",
-                               f"h_m = {format_rational(h)} outside (1, 4)")
+            result.add_witness(f"D{2 * n}", f"h_m = {format_rational(Fraction(num, den))} "
+                                            f"outside (1, 4)")
     if integer_ns != [4]:
         result.passed = False
     result.caveats.append(
         f"scan bound {n_max} is desk-scale evidence, not a proof for all n")
     return result
+
+
+def _dihedral_terms(n: int, a: int, b: int) -> tuple[int, int]:
+    """h_m(D_2n) = 2n / (m(C_n) + n/2) as (numerator, denominator), both
+    positive and not reduced, when m(C_n) = a/b."""
+    return 4 * n * b, 2 * a + n * b
 
 
 def check_prop_2_9_2_10(entries: list[CatalogEntry]) -> CheckResult:
@@ -611,13 +619,14 @@ def scan_integer_hm(entries: list[CatalogEntry], cyclic_max: int = 128,
     for e in entries:
         h = h_m_of(e.group())
         rows.append(ScanRow(e.name, e.order, h, is_integer(h), "catalog", e.id))
-    for n in range(1, cyclic_max + 1):
-        h = h_m_cyclic_closed(n)
-        rows.append(ScanRow(f"C{n}", n, h, is_integer(h), "cyclic-family", 10 ** 9))
-    for n in range(2, dihedral_max + 1):
-        h = h_m_dihedral_closed(n)
-        rows.append(ScanRow(f"D{2 * n}", 2 * n, h, is_integer(h),
-                            "dihedral-family", 10 ** 9))
+    for n, a, b in m_cyclic_terms(max(cyclic_max, dihedral_max)):
+        if n <= cyclic_max:
+            h = Fraction(n * b, a)  # n / m(C_n)
+            rows.append(ScanRow(f"C{n}", n, h, is_integer(h), "cyclic-family", 10 ** 9))
+        if 2 <= n <= dihedral_max:
+            h = Fraction(*_dihedral_terms(n, a, b))
+            rows.append(ScanRow(f"D{2 * n}", 2 * n, h, is_integer(h),
+                                "dihedral-family", 10 ** 9))
     for expr in exprs:
         rep = eval_expr(expr, entries)
         rows.append(ScanRow(rep.label, rep.order, rep.h_m, rep.integer,

@@ -368,6 +368,25 @@ class TestVerify:
         assert res.exit_code == 0
         assert "population incomplete" in res.output
 
+    def test_catalog_without_small_groups(self, runner, tmp_path):
+        # two cyclic groups of order 300: no group of order 2..16 for thm2.8's minimum
+        lines = ["# hmcat v1"]
+        for gid, step in ((1, 1), (2, 7)):
+            lines.append(json.dumps({"order": 300, "id": gid, "name": f"C300-{gid}",
+                                     "degree": 300,
+                                     "gens": [[(i + step) % 300 for i in range(300)]]}))
+        path = tmp_path / "big.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["--catalog", str(path), "verify", "--check", "thm2.8"])
+        assert res.exit_code == 0
+        assert "[PASS] thm2.8" in res.output
+        assert "witness minimum: no catalog group of order 2..16" in res.output
+        assert "population incomplete" in res.output
+        assert "Traceback" not in res.output
+        res = runner.invoke(main, ["--catalog", str(path), "verify", "--all", "--nmax", "500"])
+        assert res.exit_code == 0
+        assert res.output.count("[PASS]") == 10
+
     def test_json_format(self, runner):
         res = runner.invoke(main, ["--format", "json", "verify",
                                    "--check", "eq9"])

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmgroups.exactmath import (Factorization, divisors, euler_phi, factorize,
-                                format_rational, is_integer, is_prime,
-                                phi_from_primes, rat, rational_decimal,
-                                smallest_prime_divisor, to_integer)
+from hmgroups import exactmath
+from hmgroups.exactmath import (SIEVE_BLOCK, Factorization, divisors, euler_phi,
+                                factorize, format_rational, is_integer, is_prime,
+                                m_cyclic_terms, phi_from_primes, rat,
+                                rational_decimal, smallest_prime_divisor,
+                                to_integer)
+from hmgroups.statistics import m_cyclic_closed
 
 
 class TestRat:
@@ -162,6 +165,49 @@ class TestIsPrime:
         primes = [n for n in range(-3, 2000)
                   if n >= 2 and all(n % k for k in range(2, n))]
         assert [n for n in range(-3, 2000) if is_prime(n)] == primes
+
+
+class TestMCyclicTerms:
+    """The sieve's terms against m_cyclic_closed, which factors each n alone."""
+
+    def test_first_5000(self):
+        terms = list(m_cyclic_terms(5000))
+        assert [n for n, _, _ in terms] == list(range(1, 5001))
+        bad = [n for n, a, b in terms if Fraction(a, b) != m_cyclic_closed(n)]
+        assert bad == []
+
+    def test_near_block_boundaries(self):
+        # blocks start at 1, 1 + SIEVE_BLOCK, ...; the limit ends the third block
+        limit = 3 * SIEVE_BLOCK
+        near = {n for k in (1, 2, 3) for n in range(k * SIEVE_BLOCK - 63, k * SIEVE_BLOCK + 66)}
+        seen = []
+        for n, a, b in m_cyclic_terms(limit):
+            if n in near:
+                seen.append(n)
+                assert Fraction(a, b) == m_cyclic_closed(n), n
+        assert n == limit
+        assert seen == sorted(m for m in near if m <= limit)
+
+    @pytest.mark.parametrize("limit", [SIEVE_BLOCK, SIEVE_BLOCK + 1])
+    def test_limit_at_a_boundary(self, limit):
+        for count, (n, a, b) in enumerate(m_cyclic_terms(limit), 1):
+            pass
+        assert count == n == limit
+        assert Fraction(a, b) == m_cyclic_closed(n)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
+    def test_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(exactmath, "SIEVE_BLOCK", block)
+        terms = list(m_cyclic_terms(2000))
+        assert [n for n, _, _ in terms] == list(range(1, 2001))
+        assert all(Fraction(a, b) == m_cyclic_closed(n) for n, a, b in terms)
+
+    @pytest.mark.parametrize("limit, want", [(-5, []), (0, []), (1, [(1, 1, 1)]),
+                                             (4, [(1, 1, 1), (2, 3, 2), (3, 5, 3),
+                                                  (4, 4, 2)])])
+    def test_small_limits(self, limit, want):
+        assert list(m_cyclic_terms(limit)) == want
+
 
 class TestRendering:
     def test_format_always_with_denominator(self):

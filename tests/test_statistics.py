@@ -335,6 +335,27 @@ class TestSpectrumSources:
             eval_expr(e)
         assert str(err.value) == self.CAP_TEXT.format(expr_text(e), f"> 10^{k}")
 
+    @pytest.mark.parametrize("text, atoms, refused", [
+        ("S(20000) x C(2)", 1, "> 10^77337"), ("S(5) x C(2)", 1, None),
+        ("S(5) x C(7)", 1, None), ("S(3) x S(4)", 2, None), ("S(3) x S(4) x C(5)", 2, None),
+    ])
+    def test_each_symmetric_order_built_once(self, monkeypatch, text, atoms, refused):
+        calls = []
+        factorial = math.factorial
+
+        def counting(n):
+            calls.append(n)
+            return factorial(n)
+
+        monkeypatch.setattr(math, "factorial", counting)
+        if refused:
+            with pytest.raises(CapExceeded) as err:
+                eval_expr(parse_expr(text))
+            assert str(err.value) == self.CAP_TEXT.format(text, refused)
+        else:
+            eval_expr(parse_expr(text))
+        assert len(calls) == atoms
+
     @pytest.mark.parametrize("e, exact", [(Symmetric(n), math.factorial(n))
                                           for n in (1, 2, 3, 4, 5, 17, 64, 1000)]
                              + [(ElemAbelian(p, k), p ** k)

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import pytest
 
+from hmgroups import exactmath
+from hmgroups.exactmath import format_rational
 from hmgroups.groupkernel import Group
-from hmgroups.statistics import Cyclic, Product, SL23
-from hmgroups.verifier import (CHECKS, check_c_convention, check_congruences,
-                               check_eq_9, check_lemma_2_1, check_prop_2_1_2_2,
-                               check_prop_2_6, check_prop_2_9_2_10,
-                               check_theorem_2_2, check_theorem_2_5,
-                               check_theorem_2_8, run_checks, scan_integer_hm)
+from hmgroups.statistics import (SL23, Cyclic, Product, h_m_cyclic_closed,
+                                 h_m_dihedral_closed)
+from hmgroups.verifier import (CHECKS, ScanRow, check_c_convention,
+                               check_congruences, check_eq_9, check_lemma_2_1,
+                               check_prop_2_1_2_2, check_prop_2_6,
+                               check_prop_2_9_2_10, check_theorem_2_2,
+                               check_theorem_2_5, check_theorem_2_8, run_checks,
+                               scan_integer_hm)
 
 
 class TestTheorem22:
@@ -71,6 +77,49 @@ class TestProp26:
         integer_hits = [w[0] for w in res.witnesses if "h_m = " in w[1]
                         and "outside" not in w[1]]
         assert integer_hits == ["D8"]
+
+    @staticmethod
+    def reference(n_max):
+        """The check's dict, from one closed-form h_m per n."""
+        witnesses, integer_ns, passed = [], [], True
+        for n in range(2, n_max + 1):
+            h = h_m_dihedral_closed(n)
+            if h.denominator == 1:
+                integer_ns.append(n)
+                witnesses.append([f"D{2 * n}", f"h_m = {format_rational(h)}"])
+            if not 1 < h < 4:
+                passed = False
+                witnesses.append([f"D{2 * n}", f"h_m = {format_rational(h)} outside (1, 4)"])
+        return {"check_id": "prop2.6",
+                "population": f"dihedral groups of order 2n for 2 <= n <= {n_max} "
+                              f"(closed form)",
+                "passed": passed and integer_ns == [4],
+                "witnesses": witnesses[:20],
+                "caveats": [f"scan bound {n_max} is desk-scale evidence, not a proof "
+                            f"for all n"]}
+
+    @pytest.mark.parametrize("n_max", [0, 3, 4, 5, 3000])
+    def test_matches_closed_form(self, n_max):
+        assert check_prop_2_6(n_max).to_dict() == self.reference(n_max)
+
+    @pytest.mark.parametrize("n_max", [255, 256, 257, 1000])
+    def test_matches_closed_form_across_blocks(self, monkeypatch, n_max):
+        monkeypatch.setattr(exactmath, "SIEVE_BLOCK", 256)
+        assert check_prop_2_6(n_max).to_dict() == self.reference(n_max)
+
+    def test_memory_does_not_grow_with_the_bound(self, monkeypatch):
+        block = 1 << 12
+        monkeypatch.setattr(exactmath, "SIEVE_BLOCK", block)
+
+        def peak(n_max):
+            tracemalloc.start()
+            try:
+                check_prop_2_6(n_max)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * block) <= 1.5 * peak(block)
 
 
 class TestProp2910:
@@ -163,6 +212,27 @@ class TestScan:
     def test_exhaustiveness_caveat(self, entries):
         rep = scan_integer_hm(entries)
         assert any("exhaustive" in c for c in rep.caveats)
+
+    @staticmethod
+    def family_rows(cyclic_max, dihedral_max):
+        rows = [ScanRow(f"C{n}", n, h_m_cyclic_closed(n), h_m_cyclic_closed(n).denominator == 1,
+                        "cyclic-family", 10 ** 9) for n in range(1, cyclic_max + 1)]
+        rows += [ScanRow(f"D{2 * n}", 2 * n, h_m_dihedral_closed(n),
+                         h_m_dihedral_closed(n).denominator == 1, "dihedral-family", 10 ** 9)
+                 for n in range(2, dihedral_max + 1)]
+        return rows
+
+    @pytest.mark.parametrize("cyclic_max", [0, 1, 300])
+    @pytest.mark.parametrize("dihedral_max", [0, 1, 2, 300])
+    def test_family_rows_match_closed_forms(self, monkeypatch, entries, cyclic_max,
+                                            dihedral_max):
+        monkeypatch.setattr(exactmath, "SIEVE_BLOCK", 256)  # 300 spans two blocks
+        rep = scan_integer_hm(entries, cyclic_max, dihedral_max)
+        catalog_rows = [r for r in rep.rows if r.source == "catalog"]
+        assert len(catalog_rows) == len(entries)
+        want = sorted(catalog_rows + self.family_rows(cyclic_max, dihedral_max),
+                      key=ScanRow.sort_key)
+        assert rep.rows == want
 
     def test_json_shape(self, entries):
         doc = scan_integer_hm(entries, cyclic_max=4, dihedral_max=0).to_dict()
