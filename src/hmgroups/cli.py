@@ -338,6 +338,8 @@ def _parse_families(text: str | None) -> dict[str, int]:
             ranges[name] = int(raw)
         except ValueError:
             raise click.UsageError(f"bad family bound {raw!r}")
+        if ranges[name] < 0:
+            raise click.UsageError(f"bad family bound {raw!r}; use N >= 0")
     return ranges
 
 

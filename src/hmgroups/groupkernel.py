@@ -18,6 +18,7 @@ safe.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,9 @@ from .caps import CapExceeded  # noqa: F401 -- the refusal type callers catch he
 from .exactmath import factorize, is_prime, phi_from_primes
 
 Perm = tuple[int, ...]
+
+ASSOCIATIVITY_EXHAUSTIVE = 128
+ASSOCIATIVITY_SAMPLES = 512
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -261,6 +265,18 @@ class Group:
     def _orders(self) -> tuple[int, ...]:
         return tuple(perm_order(p) for p in self.perms)
 
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, int, int], ...]:
+        """Per element: its order, centralizer size and number of square
+        roots.  Isomorphisms preserve all three."""
+        self._ensure_table()
+        table = self._table
+        roots = [0] * self.size
+        for x, row in enumerate(table):
+            roots[row[x]] += 1
+        return tuple((o, sum(map(operator.eq, row, col)), r)
+                     for o, row, col, r in zip(self._orders, table, zip(*table), roots))
+
     def order_spectrum(self) -> OrderSpectrum:
         return OrderSpectrum.from_orders(self._orders)
 
@@ -423,7 +439,7 @@ class Group:
         pk = p ** dict(factorize(self.size).pairs)[p]
         return [s for s in self.all_subgroups() if s.size == pk]
 
-    # -- generators and words ----------------------------------------------
+    # -- generators ------------------------------------------------------
 
     def generating_set(self) -> tuple[int, ...]:
         """Small generating set, greedily preferring high-order elements."""
@@ -453,36 +469,13 @@ class Group:
                 k += 1
         return tuple(chosen)
 
-    def bfs_words(self, gens: tuple[int, ...]):
-        """BFS order, parent and generator index for each element of <gens>.
-
-        Returns (order, parent, genix) where element order[k] was first
-        reached as order[parent-position] * gens[genix].
-        """
-        order = [0]
-        parent = {0: -1}
-        genix = {0: -1}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, g in enumerate(gens):
-                    y = self.op(x, g)
-                    if y not in parent:
-                        parent[y] = x
-                        genix[y] = gi
-                        order.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        return order, parent, genix
-
     # -- validation ------------------------------------------------------
 
-    def validate(self, exhaustive_limit: int = 128, samples: int = 512) -> list[str]:
+    def validate(self) -> list[str]:
         """Check group axioms on the realized elements; returns problems found.
 
-        Associativity is exhaustive up to `exhaustive_limit` elements and
-        randomly sampled above.
+        Associativity is exhaustive up to ASSOCIATIVITY_EXHAUSTIVE elements
+        and checked on ASSOCIATIVITY_SAMPLES random triples above.
         """
         problems = []
         n = self.size
@@ -502,15 +495,15 @@ class Group:
                     problems.append(f"row {i} is not a permutation")
                 if {self._table[j][i] for j in range(n)} != full:
                     problems.append(f"column {i} is not a permutation")
-        failure = self._associativity_failure(exhaustive_limit, samples)
+        failure = self._associativity_failure()
         if failure is not None:
             problems.append("associativity fails at ({},{},{})".format(*failure))
         return problems
 
-    def _associativity_failure(self, exhaustive_limit: int, samples: int):
+    def _associativity_failure(self):
         """The first triple (a, b, c) with (ab)c != a(bc), or None."""
         n = self.size
-        if n <= exhaustive_limit:
+        if n <= ASSOCIATIVITY_EXHAUSTIVE:
             self._ensure_table()
             table = self._table
             for a, row_a in enumerate(table):
@@ -522,7 +515,7 @@ class Group:
                         return a, b, c
             return None
         rng = random.Random(0)
-        for _ in range(samples):
+        for _ in range(ASSOCIATIVITY_SAMPLES):
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             if self.op(self.op(a, b), c) != self.op(a, self.op(b, c)):
                 return a, b, c
@@ -547,58 +540,63 @@ def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
     return Group(perms, label=label, gen_indices=gen_indices)
 
 
-def _invariants_differ(a: Group, b: Group) -> bool:
-    if a.size != b.size:
-        return True
-    if a.order_spectrum() != b.order_spectrum():
-        return True
-    if a.is_abelian() != b.is_abelian():
-        return True
-    return False
-
-
 def is_isomorphic(a: Group, b: Group) -> bool:
-    """Backtracking over generator images, pruning on element orders."""
+    """Backtracking over generator images of the same element class.
+
+    Level k maps gens[k] to a candidate and extends the partial map from
+    <g1..gk> to <g1..gk+1> along right multiplication by the generators,
+    giving up on the first edge whose images disagree or the first repeated
+    image.  A map that reaches full depth agrees on every edge and is
+    injective, so it is an isomorphism."""
     for g in (a, b):
         caps.check("iso", g.size, g.label)
-    if _invariants_differ(a, b):
+    if a.size != b.size or a.order_spectrum() != b.order_spectrum():
         return False
-    if a.size == 1:
-        return True
-    a._ensure_table()
-    b._ensure_table()
-
+    if sorted(a._classes) != sorted(b._classes):
+        return False
     gens = a.generating_set()
-    bfs_order, parent, genix = a.bfs_words(gens)
-    prefix_sizes = [len(a.generated_subgroup(gens[:k + 1])) for k in range(len(gens))]
-    b_orders = b._orders
-    candidates = [
-        [y for y in range(b.size) if b_orders[y] == a._orders[g]] for g in gens
-    ]
+    candidates = [[y for y, c in enumerate(b._classes) if c == a._classes[g]]
+                  for g in gens]
+    ta, tb = a._table, b._table
+    phi = [-1] * a.size
+    phi[0] = 0
+    used = bytearray(b.size)
+    used[0] = 1
+    domain = [0]
 
-    def extends(images: list[int]) -> bool:
-        phi = [-1] * a.size
-        phi[0] = 0
-        for x in bfs_order[1:]:
-            phi[x] = b.op(phi[parent[x]], images[genix[x]])
-        if len(set(phi)) != a.size:
-            return False
-        for x in range(a.size):
-            for gi, g in enumerate(gens):
-                if phi[a.op(x, g)] != b.op(phi[x], images[gi]):
+    def visit(x: int, edges) -> bool:
+        """Check or set phi(x*g) = phi(x)*h on each edge (g, h); newly mapped
+        elements are appended to the domain."""
+        for g, h in edges:
+            z, w = ta[x][g], tb[phi[x]][h]
+            if phi[z] == -1:
+                if used[w]:
                     return False
+                phi[z] = w
+                used[w] = 1
+                domain.append(z)
+            elif phi[z] != w:
+                return False
         return True
 
-    def backtrack(k: int, images: list[int]) -> bool:
+    def search(k: int, edges: list[tuple[int, int]]) -> bool:
         if k == len(gens):
-            return extends(images)
+            return True
+        size = len(domain)
         for y in candidates[k]:
-            if len(b.generated_subgroup(tuple(images[:k]) + (y,))) != prefix_sizes[k]:
-                continue
-            images.append(y)
-            if backtrack(k + 1, images):
+            grown = edges + [(gens[k], y)]
+            # the old domain already agrees on the old edges; each element
+            # added while the domain grows is checked on every edge
+            i, ok = 0, True
+            while ok and i < len(domain):
+                ok = visit(domain[i], grown if i >= size else grown[k:])
+                i += 1
+            if ok and search(k + 1, grown):
                 return True
-            images.pop()
+            for z in domain[size:]:
+                used[phi[z]] = 0
+                phi[z] = -1
+            del domain[size:]
         return False
 
-    return backtrack(0, [])
+    return search(0, [])

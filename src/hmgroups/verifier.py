@@ -424,17 +424,17 @@ def _is_maximal_class_2group(g: Group) -> bool:
     return any(is_isomorphic(g, c) for c in candidates)
 
 
-def check_c_convention(n_lo: int = 3, n_hi: int = 8) -> CheckResult:
+def check_c_convention() -> CheckResult:
     """Brute-force |C(G)| for the maximal-class 2-group families against the
     closed-form counts 2^(n-1)+n, 2^(n-2)+n, 3*2^(n-3)+n, resolving whether
     the trivial subgroup is included in the counts."""
     result = CheckResult(
         check_id="c-convention",
-        population=f"dihedral and generalized quaternion groups of order 2^n, "
-                   f"n = {n_lo}..{n_hi}; semidihedral from n = 4",
+        population="dihedral and generalized quaternion groups of order 2^n, "
+                   "n = 3..8; semidihedral from n = 4",
         passed=True)
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(3, 9):
         order = 2 ** n
         cases = [("D", families.dihedral(order), 2 ** (n - 1) + n),
                  ("Q", families.generalized_quaternion(order), 2 ** (n - 2) + n)]

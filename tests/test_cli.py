@@ -312,6 +312,12 @@ class TestScan:
         res = runner.invoke(main, ["scan", "--predicate", "ge=2"])
         assert res.exit_code == 2
 
+    def test_negative_family_bound(self, runner):
+        res = runner.invoke(main, ["scan", "--families", "cyclic:-5"])
+        assert res.exit_code == 2
+        assert "bad family bound '-5'" in res.output
+        assert "Traceback" not in res.output
+
     def test_csv_format(self, runner):
         res = runner.invoke(main, ["--format", "csv", "scan",
                                    "--predicate", "eq=2"])
@@ -407,6 +413,12 @@ class TestIso:
 
     def test_catalog_identification(self, runner):
         res = runner.invoke(main, ["iso", "Dic(3)", "Cat(12,1)"])
+        assert res.output.strip() == "isomorphic"
+
+    def test_product_with_many_generators(self, runner):
+        res = runner.invoke(main, ["iso", "C(4) x C(2) x Cat(16,12)",
+                                   "C(4) x Cat(16,12) x C(2)"])
+        assert res.exit_code == 0
         assert res.output.strip() == "isomorphic"
 
     def test_missing_catalog_entry(self, runner):

@@ -6,9 +6,11 @@ import pytest
 from hmgroups import caps
 from hmgroups import families as fam
 from hmgroups.catalog import default_catalog, get
+from hmgroups.cli import parse_expr
 from hmgroups.exactmath import euler_phi
 from hmgroups.groupkernel import (CapExceeded, Group, OrderSpectrum, compose,
                                   direct_product, is_isomorphic, perm_order)
+from hmgroups.statistics import realize
 
 
 def spectrum_dict(g):
@@ -328,6 +330,46 @@ class TestIsomorphism:
             assert twin.size == e.order
             assert is_isomorphic(e.group(), twin), e.name
 
+    @pytest.mark.parametrize("text_a, text_b, expected", [
+        # five generators; the search used to run for minutes on this pair
+        ("C(4) x C(2) x Cat(16,12)", "C(4) x Cat(16,12) x C(2)", True),
+        ("Q(8) x D(8) x E(2,2)", "E(2,2) x Q(8) x D(8)", True),
+        ("E(2,7) x C(2)", "C(2) x E(2,7)", True),
+        # equal order spectra, not isomorphic
+        ("Cat(16,3) x C(2)", "Cat(16,13) x C(2)", False),
+        ("Cat(16,12) x C(9)", "C(9) x Cat(16,4)", False),
+        ("E(2,4) x Cat(16,3)", "Cat(16,13) x E(2,4)", False),
+    ])
+    def test_products(self, entries, text_a, text_b, expected):
+        a = realize(parse_expr(text_a), entries)
+        b = realize(parse_expr(text_b), entries)
+        assert a.order_spectrum() == b.order_spectrum()
+        assert is_isomorphic(a, b) is expected
+        assert is_isomorphic(b, a) is expected
+
+    def test_equivalence_on_catalog_products(self, entries):
+        # every product of two catalog groups up to order 128, in classes
+        # of equal order spectrum; isomorphism must partition each class
+        atoms = [e for e in entries if e.order > 1]
+        classes = {}
+        for i, x in enumerate(atoms):
+            for y in atoms[i:]:
+                if x.order * y.order <= 128:
+                    g = direct_product(x.group(), y.group())
+                    classes.setdefault(g.order_spectrum(), []).append(g)
+        pairs = 0
+        for groups in classes.values():
+            n = len(groups)
+            rel = [[i == j or is_isomorphic(groups[i], groups[j]) for j in range(n)]
+                   for i in range(n)]
+            pairs += n * (n - 1) // 2
+            for i in range(n):
+                for j in range(n):
+                    assert rel[i][j] == rel[j][i]
+                    for k in range(n):
+                        assert not (rel[i][j] and rel[j][k]) or rel[i][k]
+        assert pairs > 300
+
     def test_cap(self, monkeypatch):
         monkeypatch.setitem(caps.LIMITS, "iso", 256)
         with pytest.raises(CapExceeded):
@@ -467,6 +509,17 @@ class TestKernelAgainstReference:
     def test_element_order(self, g):
         assert [g.element_order(i) for i in range(g.size)] == \
             [perm_order(p) for p in g.perms]
+
+    def test_element_classes(self, g):
+        # order, centralizer size and number of square roots, by composing
+        # permutations
+        perms = g.perms
+        squares = [compose(p, p) for p in perms]
+        assert g._classes == tuple(
+            (perm_order(p),
+             sum(compose(p, q) == compose(q, p) for q in perms),
+             squares.count(p))
+            for p in perms)
 
 
 def test_table_needs_generators_that_generate():
