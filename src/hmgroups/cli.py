@@ -70,11 +70,14 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; isdigit() also takes "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            digits = text[i:j].lstrip("0")
+            digits = text[i:j]
+            if not digits.isascii():
+                digits = "".join(str(int(d)) for d in digits)
+            digits = digits.lstrip("0")
             if len(digits) > MAX_NUMBER_DIGITS:
                 raise _number_too_large(i)
             tokens.append(("int", int(digits or "0"), i))

@@ -8,7 +8,9 @@ multiplication table (quotients) store the rows of that table as their
 permutations -- the left-regular representation -- which keeps a single
 code path for everything downstream.
 
-Element orders come from permutation cycle structure; a full
+Element orders come from the permutations alone: up to degree 256 by
+stepping the powers as byte strings (one translation per power), above it
+or for an order above the degree from the cycle lengths.  A full
 multiplication table is materialized lazily and only for groups small
 enough to need one (subgroup lattices, quotients, isomorphism search).
 All objects are immutable after construction, so concurrent reads are
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +48,30 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+# the identity of each degree up to 256 as a byte string
+_BYTE_IDENTITIES = tuple(bytes(range(n)) for n in range(257))
+
+
 def perm_order(p: Perm) -> int:
+    """The least k >= 1 with p^k the identity.
+
+    Up to degree 256 the powers are byte strings: power.translate(table)
+    applies p to every point at once, so an element of order k costs k
+    translations, tried up to k = degree.  An order above the degree, or a
+    larger degree, takes the lcm of the cycle lengths instead."""
+    n = len(p)
+    if n <= 256:
+        identity = _BYTE_IDENTITIES[n]
+        power = bytes(p)
+        table = power + _BYTE_IDENTITIES[256][n:]  # fixes the points n..255
+        for k in range(1, n + 1):
+            if power == identity:
+                return k
+            power = power.translate(table)
+    return _cycle_order(p)
+
+
+def _cycle_order(p: Perm) -> int:
     """lcm of cycle lengths."""
     seen = bytearray(len(p))
     order = 1
@@ -78,10 +104,7 @@ class OrderSpectrum:
 
     @classmethod
     def from_orders(cls, orders) -> "OrderSpectrum":
-        counts: dict[int, int] = {}
-        for o in orders:
-            counts[o] = counts.get(o, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls(tuple(sorted(Counter(orders).items())))
 
     def __iter__(self):
         return iter(self.entries)
@@ -383,8 +406,10 @@ class Group:
         return Subgroup(self, mem)
 
     def is_normal(self, sub: Subgroup) -> bool:
-        mset = set(sub.members)
-        for g in range(self.size):
+        """g H g^-1 within H for each generator g (every element when there
+        are none); in a finite group that makes H normal."""
+        mset = sub._member_set
+        for g in self._gen_indices or range(self.size):
             ginv = self.inverse(g)
             for h in sub.members:
                 if self.op(self.op(g, h), ginv) not in mset:
@@ -417,8 +442,11 @@ class Group:
         return Group.from_table(rows, label=label or f"{self.label}/H{sub.size}")
 
     def center(self) -> Subgroup:
+        """The elements that commute with each generator (every element when
+        there are none)."""
+        gens = self._gen_indices or range(self.size)
         members = [z for z in range(self.size)
-                   if all(self.op(z, g) == self.op(g, z) for g in range(self.size))]
+                   if all(self.op(z, g) == self.op(g, z) for g in gens)]
         return Subgroup(self, tuple(members))
 
     def is_nilpotent(self) -> bool:

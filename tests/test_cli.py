@@ -4,12 +4,14 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmgroups import caps
 from hmgroups.cli import ExprParseError, main, parse_expr
 from hmgroups.statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral,
-                                 ElemAbelian, GenQuaternion, Product, SL23,
-                                 SemiDihedral, Symmetric, expr_text)
+                                 ElemAbelian, GenQuaternion, GroupExpr, Product,
+                                 SL23, SemiDihedral, Symmetric, expr_text)
 
 
 @pytest.fixture
@@ -57,6 +59,16 @@ class TestParser:
             with pytest.raises(ExprParseError, match="bound on expression numbers"):
                 parse_expr(text)
 
+    def test_unicode_digits(self):
+        # int() reads every decimal digit; "²" is a digit but not a decimal one
+        assert parse_expr("C(\u0663)") == Cyclic(3)           # Arabic-Indic 3
+        assert parse_expr("C(1\u0663^\U0001d7d0)") == Cyclic(13 ** 2)
+        # leading zeros of any script do not count towards the number bound
+        assert parse_expr("C(" + "\u0660" * 3000 + "7)") == Cyclic(7)
+        for text in ("C(\u00b2)", "C(2\u00b2)", "E(2,\u00b3)", "C(\u00bd)"):
+            with pytest.raises(ExprParseError, match="unexpected character"):
+                parse_expr(text)
+
     @pytest.mark.parametrize("text", [
         "D(7)",        # odd dihedral order
         "Q(12)",       # not a power of two
@@ -93,6 +105,39 @@ class TestParser:
             parse_expr(text)
         offset = text.rindex(" ") + 1 if " " in text else 0
         assert str(err.value) == f"{message} (at offset {offset})"
+
+
+# Grammar tokens mixed with digits of other scripts, decimal or not.  At most
+# ten tokens, so a number literal has at most eight digits and the
+# trial-division primality test that E(p,k) runs while parsing ends at once;
+# larger primes are the unbudgeted trial division of ROADMAP item 3.
+_FUZZ_TOKENS = ["C", "D", "Q", "SD", "E", "S", "Dic", "Cat", "SL23", "x", "X",
+                "(", ")", ",", "^", " ", "-", "0", "1", "2", "3", "7", "9",
+                "\u0663", "\u06f7", "\U0001d7d7", "\u00b2", "\u00b3", "\u00bd",
+                "\u216b", "\u00e9"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(),
+                 st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=10).map("".join)))
+def test_parse_expr_parses_or_refuses(text):
+    try:
+        expr = parse_expr(text)
+    except ExprParseError as exc:
+        assert "offset" in str(exc)
+    else:
+        assert isinstance(expr, GroupExpr)
+
+
+@pytest.mark.parametrize("args", [["stats", "C(\u00b2)"], ["scan", "C(\u00b2)"],
+                                  ["iso", "C(2)", "C(\u00b2)"]],
+                         ids=["stats", "scan", "iso"])
+def test_non_decimal_digits_are_usage_errors(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "unexpected character '\u00b2'" in res.output
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("command", ["stats", "scan"])

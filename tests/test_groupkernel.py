@@ -220,6 +220,58 @@ class TestNormalityAndQuotients:
             s3.quotient(sub)
 
 
+def _normal_by_definition(g, sub):
+    return all(g.op(g.op(x, h), g.inverse(x)) in sub
+               for x in range(g.size) for h in sub.members)
+
+
+def _center_by_definition(g):
+    return tuple(z for z in range(g.size)
+                 if all(g.op(z, x) == g.op(x, z) for x in range(g.size)))
+
+
+def _with_quotients(groups):
+    """Each group, then its quotients by its normal subgroups, which are
+    built from tables and have no generators."""
+    out = []
+    for g in groups:
+        out.append(g)
+        for sub in g.all_subgroups():
+            if _normal_by_definition(g, sub):
+                out.append(g.quotient(sub))
+    return out
+
+
+SMALL_AND_QUOTIENTS = _with_quotients(e.group() for e in default_catalog()
+                                      if e.order <= 16)
+
+
+class TestGeneratorShortcuts:
+    """is_normal and center use the generators of G; these compare them with
+    the definitions over every element."""
+
+    def test_is_normal(self):
+        for g in SMALL_AND_QUOTIENTS:
+            for sub in g.all_subgroups():
+                assert g.is_normal(sub) == _normal_by_definition(g, sub), \
+                    (g.label, sub.members)
+
+    def test_center(self, entries):
+        groups = _with_quotients(e.group() for e in entries)
+        assert any(not g._gen_indices for g in groups)
+        for g in groups:
+            assert g.center().members == _center_by_definition(g), g.label
+
+    def test_products(self):
+        for a, b in ((fam.dihedral(8), fam.cyclic(2)),
+                     (fam.symmetric(3), fam.generalized_quaternion(8)),
+                     (fam.dicyclic(3), fam.cyclic(4))):
+            g = direct_product(a, b)
+            assert g.center().members == _center_by_definition(g)
+            for sub in g.all_subgroups():
+                assert g.is_normal(sub) == _normal_by_definition(g, sub)
+
+
 class TestDirectProduct:
     def test_coprime_cyclic(self):
         assert is_isomorphic(direct_product(fam.cyclic(2), fam.cyclic(3)),
@@ -415,6 +467,71 @@ def test_order_spectrum_type():
 def test_perm_order():
     assert perm_order((1, 2, 0, 4, 3)) == 6
     assert perm_order((0, 1, 2)) == 1
+
+
+def _cycle_walk_order(p):
+    """lcm of the cycle lengths, each cycle walked point by point."""
+    seen, order = set(), 1
+    for start in range(len(p)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = p[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+def _from_cycle_lengths(lengths, rng):
+    """A permutation of degree sum(lengths) with those cycle lengths, on
+    shuffled points."""
+    points = list(range(sum(lengths)))
+    rng.shuffle(points)
+    p, i = list(range(len(points))), 0
+    for n in lengths:
+        cycle = points[i:i + n]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = b
+        i += n
+    return tuple(p)
+
+
+class TestPermOrder:
+    def test_against_cycle_walk(self):
+        # degrees on both sides of 256; uniform permutations mostly have an
+        # order above their degree, those from short cycles mostly below it
+        rng = random.Random(2310)
+        for degree in range(301):
+            uniform = list(range(degree))
+            rng.shuffle(uniform)
+            short = []
+            while sum(short) < degree:
+                short.append(rng.randint(1, min(8, degree - sum(short))))
+            for p in (tuple(uniform), _from_cycle_lengths(short, rng)):
+                assert perm_order(p) == _cycle_walk_order(p), p
+
+    @pytest.mark.parametrize("lengths, order", [
+        ((2, 3), 6),
+        ((3, 4, 5), 60),
+        ((1, 5, 7), 35),
+        ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), 304250263527210),
+        ((100, 97, 59), 572300),
+        ((128, 127, 2), 16256),
+    ], ids=["deg5", "deg12", "deg13", "primes-to-41", "deg256", "deg257"])
+    def test_order_above_degree(self, lengths, order):
+        # the byte-string powers stop at k = degree; the cycle walk answers
+        p = _from_cycle_lengths(lengths, random.Random(sum(lengths)))
+        assert order > len(p)
+        assert perm_order(p) == order
+
+    def test_identity_and_empty(self):
+        for degree in (0, 1, 255, 256, 257):
+            assert perm_order(tuple(range(degree))) == 1
+
+    def test_full_cycles(self):
+        for degree in (2, 255, 256, 257, 300):
+            assert perm_order(tuple(range(1, degree)) + (0,)) == degree
 
 
 # -- the kernel against references that use only compose and perm_order --------
