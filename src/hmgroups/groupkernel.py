@@ -12,7 +12,10 @@ Element orders come from the permutations alone: up to degree 256 by
 stepping the powers as byte strings (one translation per power), above it
 or for an order above the degree from the cycle lengths.  A full
 multiplication table is materialized lazily and only for groups small
-enough to need one (subgroup lattices, quotients, isomorphism search).
+enough to need one (subgroup lattices, quotients, isomorphism search,
+validation).  `Group.validate` reads every axiom from the table up to order
+512; associativity there is exhaustive by Light's test, |G|*|S| row
+compositions for a generating set S, and above 512 it is sampled.
 All objects are immutable after construction, so concurrent reads are
 safe.
 """
@@ -32,7 +35,9 @@ from .exactmath import factorize, is_prime, phi_from_primes
 
 Perm = tuple[int, ...]
 
-ASSOCIATIVITY_EXHAUSTIVE = 128
+# validate() builds the multiplication table up to this order and checks
+# every axiom on it; above it, associativity is sampled
+VALIDATION_TABLE = 512
 ASSOCIATIVITY_SAMPLES = 512
 
 
@@ -300,8 +305,12 @@ class Group:
         return tuple((o, sum(map(operator.eq, row, col)), r)
                      for o, row, col, r in zip(self._orders, table, zip(*table), roots))
 
-    def order_spectrum(self) -> OrderSpectrum:
+    @cached_property
+    def _spectrum(self) -> OrderSpectrum:
         return OrderSpectrum.from_orders(self._orders)
+
+    def order_spectrum(self) -> OrderSpectrum:
+        return self._spectrum
 
     def exponent(self) -> int:
         return self.order_spectrum().exponent()
@@ -502,11 +511,15 @@ class Group:
     def validate(self) -> list[str]:
         """Check group axioms on the realized elements; returns problems found.
 
-        Associativity is exhaustive up to ASSOCIATIVITY_EXHAUSTIVE elements
-        and checked on ASSOCIATIVITY_SAMPLES random triples above.
+        Up to VALIDATION_TABLE elements the multiplication table is built
+        first and every axiom is read from it, associativity exhaustively by
+        Light's test; above that, associativity is checked on
+        ASSOCIATIVITY_SAMPLES random triples.
         """
         problems = []
         n = self.size
+        if n <= VALIDATION_TABLE:
+            self._ensure_table()
         for i in range(n):
             if self.op(0, i) != i or self.op(i, 0) != i:
                 problems.append(f"identity fails at element {i}")
@@ -515,13 +528,12 @@ class Group:
                     problems.append(f"inverse fails at element {i}")
             except KeyError:
                 problems.append(f"element {i} has no inverse in the element set")
-        if n <= 512:
-            self._ensure_table()
+        if n <= VALIDATION_TABLE:
             full = set(range(n))
-            for i in range(n):
-                if set(self._table[i]) != full:
+            for i, (row, col) in enumerate(zip(self._table, zip(*self._table))):
+                if set(row) != full:
                     problems.append(f"row {i} is not a permutation")
-                if {self._table[j][i] for j in range(n)} != full:
+                if set(col) != full:
                     problems.append(f"column {i} is not a permutation")
         failure = self._associativity_failure()
         if failure is not None:
@@ -529,13 +541,34 @@ class Group:
         return problems
 
     def _associativity_failure(self):
-        """The first triple (a, b, c) with (ab)c != a(bc), or None."""
+        """A triple (a, b, c) with (ab)c != a(bc), or None.
+
+        Up to VALIDATION_TABLE elements this is Light's test (Clifford and
+        Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2): b
+        ranges over a generating set S only, and for every a, row ab of the
+        table must be row a after row b.  That is |G|*|S| row compositions,
+        and it is exhaustive.  Let B be the set of b with (ab)c = a(bc) for
+        all a and c.  B is closed under the table's product: a(b1b2) =
+        (ab1)b2, then ((ab1)b2)c = (ab1)(b2c) = a(b1(b2c)) = a((b1b2)c).  So
+        B holds every element but 0 once it holds an S of which they are all
+        products under the table's own product: `_ensure_table` reaches
+        every element as a left-normed product of the generators, and
+        `generating_set` (for a group without generators) closes under table
+        rows.  Then 0 is in B too.  Write L_x for row x: the rows are
+        distinct and L_0 is the identity permutation.  L_ab = L_a L_b for
+        b != 0, so the rows are closed under composition and form a group.
+        Fix b != 0 and let p = L_b^-1(b).  For each x, the a with
+        L_a = L_x L_b^-1 has L_ab = L_x, so x = ab = L_a(b) = L_x(p).  x = 0
+        gives p = 0, so x0 = L_x(0) = x for every x, and (a0)c = ac = a(0c).
+        """
         n = self.size
-        if n <= ASSOCIATIVITY_EXHAUSTIVE:
+        if n <= VALIDATION_TABLE:
             self._ensure_table()
             table = self._table
-            for a, row_a in enumerate(table):
-                for b, row_b in enumerate(table):
+            gens = self._gen_indices or self.generating_set()
+            for b in gens:
+                row_b = table[b]
+                for a, row_a in enumerate(table):
                     # (ab)c = a(bc) for every c: row ab is row a after row b
                     row_ab = table[row_a[b]]
                     if row_ab != compose(row_a, row_b):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hmgroups import caps
+from hmgroups import caps, groupkernel
 from hmgroups import families as fam
 from hmgroups.catalog import default_catalog, get
 from hmgroups.cli import parse_expr
@@ -99,6 +99,10 @@ class TestSpectrum:
             for d, n in spec:
                 assert n % euler_phi(d) == 0
                 assert exp % d == 0
+
+    def test_computed_once(self):
+        g = fam.dihedral(8)
+        assert g.order_spectrum() is g.order_spectrum()
 
     def test_exponent(self):
         assert fam.elementary_abelian(2, 3).exponent() == 2
@@ -446,6 +450,56 @@ class TestSylow:
             fam.symmetric(3).sylow_subgroups(4)
 
 
+# a Latin square with an identity that is not a group; generating_set()
+# gives (1, 2)
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+VALIDATION_FAMILIES = ([fam.dihedral(n) for n in range(4, 65, 2)]
+                       + [fam.generalized_quaternion(n) for n in (8, 16, 32, 64)]
+                       + [fam.semidihedral(n) for n in (16, 32, 64)])
+
+
+def _first_triple_failure(rows):
+    """Every triple, in order: the first (a, b, c) with (ab)c != a(bc)."""
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    return a, b, c
+    return None
+
+
+def _reported_triple_fails(rows, problems):
+    reported = [p for p in problems if p.startswith("associativity fails at")]
+    assert len(reported) == 1
+    a, b, c = map(int, reported[0].split("(")[1].rstrip(")").split(","))
+    return rows[rows[a][b]][c] != rows[a][rows[b][c]]
+
+
+def _swap_intercalate(rows, rs, cs):
+    """Swap the two symbols of the 2x2 Latin subsquare at rows rs, columns
+    cs; the table stays a Latin square."""
+    (r1, r2), (c1, c2) = rs, cs
+    rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+    rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+    return rows
+
+
+def _random_intercalate(table, rng):
+    """Rows and columns of a 2x2 Latin subsquare away from the identity's
+    row and column, so the perturbed table keeps its identity."""
+    n = len(table)
+    while True:
+        r1, c1 = rng.randrange(1, n), rng.randrange(1, n)
+        for r2 in rng.sample(range(1, n), n - 1):
+            if r2 == r1:
+                continue
+            c2 = table[r2].index(table[r1][c1])
+            if c2 not in (0, c1) and table[r1][c2] == table[r2][c1]:
+                return (r1, r2), (c1, c2)
+
+
 class TestValidation:
     def test_catalog_groups_validate(self, entries):
         for e in entries:
@@ -453,7 +507,60 @@ class TestValidation:
 
     def test_broken_table_detected(self):
         rows = [(0, 1, 2), (1, 2, 0), (2, 1, 0)]  # latin violation in a column
-        assert Group.from_table(rows).validate() != []
+        problems = Group.from_table(rows).validate()
+        assert problems[:-1] == ["element 1 has no inverse in the element set",
+                                 "column 1 is not a permutation",
+                                 "column 2 is not a permutation"]
+        assert _reported_triple_fails(rows, problems)
+
+    def test_loop_of_order_5_fails_associativity(self):
+        assert _reported_triple_fails(LOOP_5, Group.from_table(LOOP_5).validate())
+
+    def test_light_tries_every_generator(self, monkeypatch):
+        # C3 x LOOP_5, element (g, l) at 5g + l: (1, 0) associates with
+        # everything, so only the loop's generators show the failure
+        rows = [[(g1 + g2) % 3 * 5 + LOOP_5[l1][l2] for g2 in range(3) for l2 in range(5)]
+                for g1 in range(3) for l1 in range(5)]
+        monkeypatch.setattr(Group, "generating_set", lambda self: (5, 1, 2))
+        a, b, c = Group.from_table(rows)._associativity_failure()
+        assert b != 5 and rows[rows[a][b]][c] != rows[a][rows[b][c]]
+
+    def test_perturbed_xor_table_of_order_256_fails_associativity(self):
+        rows = _swap_intercalate([[a ^ b for b in range(256)] for a in range(256)],
+                                 (1, 2), (4, 7))
+        assert rows[1][4] == rows[2][7] and rows[1][7] == rows[2][4]
+        assert _reported_triple_fails(rows, Group.from_table(rows).validate())
+
+    @pytest.mark.parametrize("g", [e.group() for e in default_catalog()]
+                             + VALIDATION_FAMILIES, ids=lambda g: g.label)
+    def test_light_agrees_with_every_triple_on_groups(self, g):
+        for h in _with_quotients([g]):
+            assert h._associativity_failure() is None, h.label
+            assert _first_triple_failure(h._table) is None, h.label
+
+    # even orders have intercalates; at order 4 a swap can give the other
+    # group of order 4, so the perturbed tables start at order 6
+    @pytest.mark.parametrize("g", [g for g in [e.group() for e in default_catalog()]
+                                   + VALIDATION_FAMILIES
+                                   if g.size % 2 == 0 and g.size >= 6],
+                             ids=lambda g: g.label)
+    def test_light_finds_perturbed_tables(self, g):
+        g._ensure_table()
+        rng = random.Random(g.size)
+        for _ in range(3):
+            rows = _swap_intercalate([list(r) for r in g._table],
+                                     *_random_intercalate(g._table, rng))
+            assert _first_triple_failure(rows) is not None
+            assert Group.from_table(rows)._associativity_failure() is not None
+
+    @pytest.mark.parametrize("g", [fam.dihedral(512), fam.generalized_quaternion(512),
+                                   fam.semidihedral(512), fam.elementary_abelian(2, 8)],
+                             ids=lambda g: g.label)
+    def test_exhaustive_up_to_order_512(self, g, monkeypatch):
+        # these orders were sampled before; without a random module the
+        # sampling branch cannot run
+        monkeypatch.setattr(groupkernel, "random", None)
+        assert g.validate() == []
 
 
 def test_order_spectrum_type():

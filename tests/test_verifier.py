@@ -3,8 +3,9 @@ import tracemalloc
 import pytest
 
 from hmgroups import exactmath
+from hmgroups.catalog import load_catalog
 from hmgroups.exactmath import format_rational
-from hmgroups.groupkernel import Group
+from hmgroups.groupkernel import Group, OrderSpectrum
 from hmgroups.statistics import (SL23, Cyclic, Product, h_m_cyclic_closed,
                                  h_m_dihedral_closed)
 from hmgroups.verifier import (CHECKS, ScanRow, check_c_convention,
@@ -183,6 +184,34 @@ class TestPropSuite:
         monkeypatch.setattr(Group, "all_subgroups", counting)
         check_prop_2_1_2_2(entries)
         assert len(calls) == len({id(g) for g in calls}) == 42
+
+    def test_one_spectrum_count_per_group(self, entries, monkeypatch):
+        # fresh entries, so no group has a spectrum from an earlier test
+        fresh = load_catalog("\n".join(e.to_json_line() for e in entries))
+        asked = []  # every group asked for its spectrum, kept alive
+        inside = []
+        counted = []
+        real_spectrum = Group.order_spectrum
+        real_from_orders = OrderSpectrum.from_orders.__func__
+
+        def order_spectrum(g):
+            asked.append(g)
+            inside.append(g)
+            try:
+                return real_spectrum(g)
+            finally:
+                inside.pop()
+
+        def from_orders(cls, orders):
+            if inside:
+                counted.append(inside[-1])
+            return real_from_orders(cls, orders)
+        monkeypatch.setattr(Group, "order_spectrum", order_spectrum)
+        monkeypatch.setattr(OrderSpectrum, "from_orders", classmethod(from_orders))
+        run_checks(fresh, ["prop2.1-2.2"])
+        distinct = {id(g) for g in asked}
+        assert len(counted) == len({id(g) for g in counted}) == len(distinct)
+        assert len(asked) > len(distinct)
 
 
 class TestScan:
