@@ -301,10 +301,12 @@ def stats(state: CliState, expression):
 
 
 def _parse_predicate(text: str | None):
+    """The --predicate test on h_m = num/den (den > 0, not necessarily
+    reduced), or None for no filter, and its description."""
     if text is None:
         return None, "all"
     if text == "integer":
-        return (lambda r: r.integer), "integer"
+        return (lambda num, den: num % den == 0), "integer"
     for head in ("eq", "le"):
         if text.startswith(head + "="):
             raw = text[len(head) + 1:]
@@ -316,9 +318,10 @@ def _parse_predicate(text: str | None):
                     value = Fraction(int(raw))
             except (ValueError, ZeroDivisionError):
                 raise click.UsageError(f"bad predicate value {raw!r}")
+            p, q = value.numerator, value.denominator
             if head == "eq":
-                return (lambda r: r.h_m == value), f"h_m = {value}"
-            return (lambda r: r.h_m <= value), f"h_m <= {value}"
+                return (lambda num, den: num * q == p * den), f"h_m = {value}"
+            return (lambda num, den: num * q <= p * den), f"h_m <= {value}"
     raise click.UsageError(
         f"bad predicate {text!r}; use integer, eq=K, or le=R (K, R rational)")
 
@@ -357,43 +360,44 @@ def _parse_families(text: str | None) -> dict[str, int]:
 @click.pass_obj
 def scan(state: CliState, expressions, max_order, families_spec, predicate):
     """Tabulate h_m over the catalog, family ranges, and expressions."""
-    pred, pred_desc = _parse_predicate(predicate)
+    keep, pred_desc = _parse_predicate(predicate)
     ranges = _parse_families(families_spec)
     exprs = tuple(_parse_or_usage(t) for t in expressions)
+    # rows the filters drop are never built
     report = scan_integer_hm(state.entries, cyclic_max=ranges["cyclic"],
-                             dihedral_max=ranges["dihedral"], exprs=exprs)
-    rows = report.rows
-    if max_order is not None:
-        rows = [r for r in rows if r.order <= max_order]
-    if pred is not None:
-        rows = [r for r in rows if pred(r)]
-    report.rows = rows
+                             dihedral_max=ranges["dihedral"], exprs=exprs,
+                             max_order=max_order, keep=keep)
     report.population += f"; filter: {pred_desc}"
     _echo_header(state)
-    if state.format == "json":
-        click.echo(report.to_json(state.digits))
-        return
-    if state.format == "csv":
-        buf = io.StringIO()
+    click.echo(_scan_text(report, state.format, state.digits), nl=False)
+
+
+def _scan_text(report, fmt: str, digits: int) -> str:
+    """A scan report as the scan command prints it."""
+    if fmt == "json":
+        return report.to_json(digits) + "\n"
+    rows = report.rows
+    buf = io.StringIO()
+    if fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["label", "order", "h_m", "h_m_approx", "integer", "source"])
         for r in rows:
             writer.writerow([r.label, r.order, format_rational(r.h_m),
-                             rational_decimal(r.h_m, state.digits),
+                             rational_decimal(r.h_m, digits),
                              "yes" if r.integer else "no", r.source])
-        click.echo(buf.getvalue(), nl=False)
-        return
+        return buf.getvalue()
     width = max([len(r.label) for r in rows] + [5])
-    click.echo(f"{'label':<{width}}  {'order':>8}  {'h_m':>16}  "
-               f"{'approx':>14}  int  source")
+    buf.write(f"{'label':<{width}}  {'order':>8}  {'h_m':>16}  "
+              f"{'approx':>14}  int  source\n")
     for r in rows:
-        click.echo(f"{r.label:<{width}}  {r.order:>8}  "
-                   f"{format_rational(r.h_m):>16}  "
-                   f"{rational_decimal(r.h_m, state.digits):>14}  "
-                   f"{'yes' if r.integer else ' no'}  {r.source}")
-    click.echo(f"# population: {report.population}")
+        buf.write(f"{r.label:<{width}}  {r.order:>8}  "
+                  f"{format_rational(r.h_m):>16}  "
+                  f"{rational_decimal(r.h_m, digits):>14}  "
+                  f"{'yes' if r.integer else ' no'}  {r.source}\n")
+    buf.write(f"# population: {report.population}\n")
     for c in report.caveats:
-        click.echo(f"# caveat: {c}")
+        buf.write(f"# caveat: {c}\n")
+    return buf.getvalue()
 
 
 @main.command()

@@ -13,9 +13,10 @@ stepping the powers as byte strings (one translation per power), above it
 or for an order above the degree from the cycle lengths.  A full
 multiplication table is materialized lazily and only for groups small
 enough to need one (subgroup lattices, quotients, isomorphism search,
-validation).  `Group.validate` reads every axiom from the table up to order
-512; associativity there is exhaustive by Light's test, |G|*|S| row
-compositions for a generating set S, and above 512 it is sampled.
+validation).  `Group.validate` reads every axiom from the table, built up to
+order 512 or held at any order; associativity there is exhaustive by
+Light's test, |G|*|S| row compositions for a generating set S.  Without a
+table the product is composition of maps, which is associative.
 All objects are immutable after construction, so concurrent reads are
 safe.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,9 +36,8 @@ from .exactmath import factorize, is_prime, phi_from_primes
 Perm = tuple[int, ...]
 
 # validate() builds the multiplication table up to this order and checks
-# every axiom on it; above it, associativity is sampled
+# every axiom on it
 VALIDATION_TABLE = 512
-ASSOCIATIVITY_SAMPLES = 512
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -512,9 +511,11 @@ class Group:
         """Check group axioms on the realized elements; returns problems found.
 
         Up to VALIDATION_TABLE elements the multiplication table is built
-        first and every axiom is read from it, associativity exhaustively by
-        Light's test; above that, associativity is checked on
-        ASSOCIATIVITY_SAMPLES random triples.
+        first.  Whenever a table is held, from `from_table` at any order or
+        built earlier, every axiom is read from it, associativity
+        exhaustively by Light's test.  A larger group without a table
+        multiplies by composing its permutations, and composition of maps is
+        associative, so it needs no associativity test.
         """
         problems = []
         n = self.size
@@ -528,22 +529,22 @@ class Group:
                     problems.append(f"inverse fails at element {i}")
             except KeyError:
                 problems.append(f"element {i} has no inverse in the element set")
-        if n <= VALIDATION_TABLE:
+        if self._table is not None:
             full = set(range(n))
             for i, (row, col) in enumerate(zip(self._table, zip(*self._table))):
                 if set(row) != full:
                     problems.append(f"row {i} is not a permutation")
                 if set(col) != full:
                     problems.append(f"column {i} is not a permutation")
-        failure = self._associativity_failure()
-        if failure is not None:
-            problems.append("associativity fails at ({},{},{})".format(*failure))
+            failure = self._associativity_failure()
+            if failure is not None:
+                problems.append("associativity fails at ({},{},{})".format(*failure))
         return problems
 
     def _associativity_failure(self):
-        """A triple (a, b, c) with (ab)c != a(bc), or None.
+        """A triple (a, b, c) of the table with (ab)c != a(bc), or None.
 
-        Up to VALIDATION_TABLE elements this is Light's test (Clifford and
+        Whatever the order, this is Light's test (Clifford and
         Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2): b
         ranges over a generating set S only, and for every a, row ab of the
         table must be row a after row b.  That is |G|*|S| row compositions,
@@ -561,25 +562,17 @@ class Group:
         L_a = L_x L_b^-1 has L_ab = L_x, so x = ab = L_a(b) = L_x(p).  x = 0
         gives p = 0, so x0 = L_x(0) = x for every x, and (a0)c = ac = a(0c).
         """
-        n = self.size
-        if n <= VALIDATION_TABLE:
-            self._ensure_table()
-            table = self._table
-            gens = self._gen_indices or self.generating_set()
-            for b in gens:
-                row_b = table[b]
-                for a, row_a in enumerate(table):
-                    # (ab)c = a(bc) for every c: row ab is row a after row b
-                    row_ab = table[row_a[b]]
-                    if row_ab != compose(row_a, row_b):
-                        c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
-                        return a, b, c
-            return None
-        rng = random.Random(0)
-        for _ in range(ASSOCIATIVITY_SAMPLES):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if self.op(self.op(a, b), c) != self.op(a, self.op(b, c)):
-                return a, b, c
+        self._ensure_table()
+        table = self._table
+        gens = self._gen_indices or self.generating_set()
+        for b in gens:
+            row_b = table[b]
+            for a, row_a in enumerate(table):
+                # (ab)c = a(bc) for every c: row ab is row a after row b
+                row_ab = table[row_a[b]]
+                if row_ab != compose(row_a, row_b):
+                    c = next(c for c in range(self.size) if row_ab[c] != row_a[row_b[c]])
+                    return a, b, c
         return None
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from . import families
 from .catalog import CATALOG_EXHAUSTIVE_LIMIT, CatalogEntry, missing_orders
@@ -610,28 +613,71 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
 
 # -- integer-value scan (open question data gathering) -------------------------
 
+# the sort_id of family and expression rows, after the catalog ids in use
+_UNLISTED = 10 ** 9
 
-def scan_integer_hm(entries: list[CatalogEntry], cyclic_max: int = 128,
-                    dihedral_max: int = 64, exprs=()) -> ScanReport:
-    """Tabulate h_m over the catalog, cyclic and dihedral family ranges, and
-    optional expressions; flags the integer values."""
+
+def _family_rows(cyclic_max: int, dihedral_max: int, keep) -> list[ScanRow]:
+    """The C{n} and D{2n} rows in ScanRow.sort_key order, straight from the
+    sieve: C{n} at step n, and D{2n}, built at step n, held back until step
+    2n, where it follows C{2n}.  The integer flags come from the unreduced
+    numerator and denominator, as does `keep`."""
     rows = []
-    for e in entries:
-        h = h_m_of(e.group())
-        rows.append(ScanRow(e.name, e.order, h, is_integer(h), "catalog", e.id))
+    held = deque()
     for n, a, b in m_cyclic_terms(max(cyclic_max, dihedral_max)):
         if n <= cyclic_max:
-            h = Fraction(n * b, a)  # n / m(C_n)
-            rows.append(ScanRow(f"C{n}", n, h, is_integer(h), "cyclic-family", 10 ** 9))
+            num = n * b  # h_m(C_n) = n / m(C_n) = nB/A
+            if keep is None or keep(num, a):
+                rows.append(ScanRow(f"C{n}", n, Fraction(num, a), num % a == 0,
+                                    "cyclic-family", _UNLISTED))
+        if held and held[0].order == n:
+            rows.append(held.popleft())
         if 2 <= n <= dihedral_max:
-            h = Fraction(*_dihedral_terms(n, a, b))
-            rows.append(ScanRow(f"D{2 * n}", 2 * n, h, is_integer(h),
-                                "dihedral-family", 10 ** 9))
+            num, den = _dihedral_terms(n, a, b)
+            if keep is None or keep(num, den):
+                held.append(ScanRow(f"D{2 * n}", 2 * n, Fraction(num, den),
+                                    num % den == 0, "dihedral-family", _UNLISTED))
+    rows.extend(held)
+    return rows
+
+
+def scan_integer_hm(entries: list[CatalogEntry], cyclic_max: int = 128,
+                    dihedral_max: int = 64, exprs=(), max_order: int | None = None,
+                    keep=None) -> ScanReport:
+    """Tabulate h_m over the catalog, cyclic and dihedral family ranges, and
+    optional expressions; flags the integer values.
+
+    Rows come sorted by ScanRow.sort_key.  Only rows of order at most
+    `max_order` for which `keep(num, den)` holds are built, where
+    h_m = num/den with den > 0, not necessarily reduced; the population
+    still names the requested ranges.
+    """
+    if max_order is None:
+        c_max, d_max = cyclic_max, dihedral_max
+    else:
+        c_max, d_max = min(cyclic_max, max_order), min(dihedral_max, max_order // 2)
+
+    def wanted(order: int, h: Fraction) -> bool:
+        return ((max_order is None or order <= max_order)
+                and (keep is None or keep(h.numerator, h.denominator)))
+
+    catalog = []
+    for e in entries:
+        h = h_m_of(e.group())
+        if wanted(e.order, h):
+            catalog.append(ScanRow(e.name, e.order, h, is_integer(h), "catalog", e.id))
+    expressions = []
     for expr in exprs:
         rep = eval_expr(expr, entries)
-        rows.append(ScanRow(rep.label, rep.order, rep.h_m, rep.integer,
-                            "expression", 10 ** 9))
-    rows.sort(key=ScanRow.sort_key)
+        if wanted(rep.order, rep.h_m):
+            expressions.append(ScanRow(rep.label, rep.order, rep.h_m, rep.integer,
+                                       "expression", _UNLISTED))
+    rows = _family_rows(c_max, d_max, keep)
+    # family rows above every other row's order are already in place; the
+    # stable sort keeps catalog, family, expression order at equal keys
+    top = max((r.order for r in catalog + expressions), default=0)
+    cut = bisect_right(rows, top, key=attrgetter("order"))
+    rows[:cut] = sorted(catalog + rows[:cut] + expressions, key=ScanRow.sort_key)
     caveats = [f"exhaustive only for catalog orders <= {CATALOG_EXHAUSTIVE_LIMIT}; "
                f"family and expression rows are samples from an infinite range"]
     missing = missing_orders(entries)

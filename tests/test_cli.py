@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmgroups import caps
-from hmgroups.cli import ExprParseError, main, parse_expr
+from hmgroups.catalog import default_catalog
+from hmgroups.cli import ExprParseError, _scan_text, main, parse_expr
 from hmgroups.statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral,
                                  ElemAbelian, GenQuaternion, GroupExpr, Product,
                                  SL23, SemiDihedral, Symmetric, expr_text)
+from hmgroups.verifier import scan_integer_hm
 
 
 @pytest.fixture
@@ -390,6 +393,63 @@ class TestScan:
                                        "--predicate", "eq=2"]).output
         assert not plain.startswith("# generated")
         assert stamped.startswith("# generated")
+
+
+def _scan_filtered_after(fmt, families, predicate, max_order, exprs):
+    """What `hm scan` printed when it built every row and then dropped
+    those above --max-order or failing --predicate."""
+    report = scan_integer_hm(default_catalog(), *families,
+                             exprs=tuple(parse_expr(t) for t in exprs))
+    rows = report.rows
+    if max_order is not None:
+        rows = [r for r in rows if r.order <= max_order]
+    desc = "all"
+    if predicate == "integer":
+        rows, desc = [r for r in rows if r.integer], "integer"
+    elif predicate is not None:
+        head, raw = predicate.split("=")
+        value = Fraction(raw)
+        if head == "eq":
+            rows, desc = [r for r in rows if r.h_m == value], f"h_m = {value}"
+        else:
+            rows, desc = [r for r in rows if r.h_m <= value], f"h_m <= {value}"
+    report.rows = rows
+    report.population += f"; filter: {desc}"
+    return _scan_text(report, fmt, 6)
+
+
+# (cyclic, dihedral), predicate, --max-order, expressions
+SCAN_FILTER_CASES = [
+    ((0, 0), None, None, ()),
+    ((0, 0), "integer", None, ()),
+    ((0, 0), "le=2", 16, ()),
+    ((300, 200), "integer", None, ()),
+    ((300, 200), None, 97, ()),
+    ((300, 200), None, 1, ()),
+    ((0, 150), "eq=2", 200, ()),
+    ((120, 90), "le=12/5", 150, ("SL23 x C(5)", "Cat(16,3) x C(3)")),
+    ((64, 0), "eq=24/7", None, ("SL23", "C(5) x SL23")),
+    ((0, 0), "integer", None, ("SL23 x C(823543)", "D(8)")),
+    ((50, 50), "le=3", 24, ("D(64)",)),
+    ((257, 257), "eq=2", 64, ("C(4)", "D(8) x C(1)")),
+]
+
+
+class TestScanFilters:
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("families, predicate, max_order, exprs", SCAN_FILTER_CASES)
+    def test_same_output_as_filtering_built_rows(self, runner, fmt, families, predicate,
+                                                 max_order, exprs):
+        args = ["--format", fmt, "scan", "--families",
+                f"cyclic:{families[0]},dihedral:{families[1]}"]
+        if predicate is not None:
+            args += ["--predicate", predicate]
+        if max_order is not None:
+            args += ["--max-order", str(max_order)]
+        res = runner.invoke(main, args + list(exprs))
+        assert res.exit_code == 0, res.output
+        assert res.output == _scan_filtered_after(fmt, families, predicate, max_order,
+                                                  exprs)
 
 
 class TestVerify:

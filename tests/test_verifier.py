@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -6,8 +7,8 @@ from hmgroups import exactmath
 from hmgroups.catalog import load_catalog
 from hmgroups.exactmath import format_rational
 from hmgroups.groupkernel import Group, OrderSpectrum
-from hmgroups.statistics import (SL23, Cyclic, Product, h_m_cyclic_closed,
-                                 h_m_dihedral_closed)
+from hmgroups.statistics import (SL23, CatalogRef, Cyclic, Product,
+                                 h_m_cyclic_closed, h_m_dihedral_closed)
 from hmgroups.verifier import (CHECKS, ScanRow, check_c_convention,
                                check_congruences, check_eq_9, check_lemma_2_1,
                                check_prop_2_1_2_2, check_prop_2_6,
@@ -262,6 +263,29 @@ class TestScan:
         want = sorted(catalog_rows + self.family_rows(cyclic_max, dihedral_max),
                       key=ScanRow.sort_key)
         assert rep.rows == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_merged_rows_equal_a_global_sort(self, monkeypatch, entries, seed):
+        # family rows come out of the sieve in order and only the catalog and
+        # expression rows are sorted; expressions of order 48 and 120 fall
+        # between family rows, "Cat(16,3) x C(3)" between C48 and D48
+        monkeypatch.setattr(exactmath, "SIEVE_BLOCK", 256)
+        rng = random.Random(seed)
+        shuffled = rng.sample(entries, len(entries))
+        exprs = rng.sample([Product((SL23(), Cyclic(5))), Product((Cyclic(5), SL23())),
+                            Product((CatalogRef(16, 3), Cyclic(3)))], 3)
+        cyclic_max, dihedral_max = rng.randint(0, 600), rng.randint(0, 600)
+        rows = scan_integer_hm(shuffled, cyclic_max, dihedral_max, exprs).rows
+        assert rows == sorted(rows, key=ScanRow.sort_key)
+        family = [r for r in rows if r.source.endswith("-family")]
+        assert len(rows) == len(entries) + len(exprs) + len(family)
+        assert len(family) == cyclic_max + max(dihedral_max - 1, 0)
+        for r in family:
+            if r.source == "cyclic-family":
+                assert r.h_m == h_m_cyclic_closed(r.order), r.label
+            else:
+                assert r.h_m == h_m_dihedral_closed(r.order // 2), r.label
+            assert r.integer == (r.h_m.denominator == 1), r.label
 
     def test_json_shape(self, entries):
         doc = scan_integer_hm(entries, cyclic_max=4, dihedral_max=0).to_dict()
