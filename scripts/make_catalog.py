@@ -24,8 +24,7 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "hmgroups" / "data" / "sm
 
 
 def gens_of(g: Group) -> list[tuple[int, ...]]:
-    idx = g._gen_indices or g.generating_set()
-    return [g.perms[i] for i in idx]
+    return [g.perms[i] for i in g.generators]
 
 
 def semidirect_cyclic(a: int, b: int, k: int, label: str) -> Group:
@@ -64,9 +63,9 @@ def pauli_16() -> Group:
     d8 = fam.dihedral(8)
     c4 = fam.cyclic(4)
     prod = direct_product(d8, c4)
-    r = d8._gen_indices[0]
+    r = d8.generators[0]
     r2 = d8.op(r, r)
-    z = c4._gen_indices[0]
+    z = c4.generators[0]
     z2 = c4.op(z, z)
     center_elem = r2 * c4.size + z2
     sub = prod.subgroup(prod.generated_subgroup((center_elem,)))

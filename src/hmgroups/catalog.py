@@ -102,18 +102,12 @@ def _parse_line(line: str, line_no: int) -> CatalogEntry:
 
 
 def load_catalog(source) -> list[CatalogEntry]:
-    """Parse a catalog stream (bytes, text, or a file-like object).
+    """Parse catalog text, as bytes or str.
 
     Syntax-level checks only; generator bijectivity and closure sizes are
     the validator's job.  Duplicate (order, id) pairs are rejected here.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
     entries: list[CatalogEntry] = []
     seen: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(io.StringIO(text), start=1):
@@ -133,7 +127,7 @@ def load_catalog(source) -> list[CatalogEntry]:
 
 def load_catalog_file(path) -> list[CatalogEntry]:
     with open(path, "rb") as fh:
-        return load_catalog(fh)
+        return load_catalog(fh.read())
 
 
 _DEFAULT: list[CatalogEntry] | None = None
@@ -153,13 +147,6 @@ def get(entries: list[CatalogEntry], order: int, gid: int) -> Group:
         if e.order == order and e.id == gid:
             return e.group()
     raise MissingEntry(f"no catalog entry ({order}, {gid})")
-
-
-def find(entries: list[CatalogEntry], name: str) -> CatalogEntry:
-    for e in entries:
-        if e.name == name:
-            return e
-    raise MissingEntry(f"no catalog entry named {name!r}")
 
 
 def missing_orders(entries: list[CatalogEntry],

@@ -25,12 +25,6 @@ def is_integer(q: Rational) -> bool:
     return q.denominator == 1
 
 
-def to_integer(q: Rational) -> int:
-    if q.denominator != 1:
-        raise ValueError(f"{q} is not an integer")
-    return q.numerator
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
@@ -45,12 +39,6 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
-
-    def divisor_count(self) -> int:
-        n = 1
-        for _, e in self.pairs:
-            n *= e + 1
-        return n
 
     def divisors(self) -> list[int]:
         """All positive divisors of the value, ascending."""

@@ -27,11 +27,17 @@ def cyclic(n: int, label: str | None = None) -> Group:
     return Group.from_generators(n, [gen], label=label or f"C{n}")
 
 
-def dihedral(two_n: int, label: str | None = None) -> Group:
-    """Dihedral group of order 2n: rotations of an n-gon plus reflections."""
+def dihedral_n(two_n: int) -> int:
+    """n for the dihedral group of order 2n; ValueError unless the order
+    is even and at least 2."""
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError(f"dihedral order must be even and >= 2, got {two_n}")
-    n = two_n // 2
+    return two_n // 2
+
+
+def dihedral(two_n: int, label: str | None = None) -> Group:
+    """Dihedral group of order 2n: rotations of an n-gon plus reflections."""
+    n = dihedral_n(two_n)
     lbl = label or f"D{two_n}"
     if n == 1:
         return Group.from_generators(2, [(1, 0)], label=lbl)

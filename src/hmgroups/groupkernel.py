@@ -31,7 +31,7 @@ from functools import cached_property
 
 from . import caps
 from .caps import CapExceeded  # noqa: F401 -- the refusal type callers catch here
-from .exactmath import factorize, is_prime, phi_from_primes
+from .exactmath import factorize, phi_from_primes
 
 Perm = tuple[int, ...]
 
@@ -167,12 +167,6 @@ class Subgroup:
         return any(self.parent.element_order(i) == len(self.members)
                    for i in self.members)
 
-    def as_group(self, label: str | None = None) -> "Group":
-        g = self.parent
-        pos = {x: k for k, x in enumerate(self.members)}
-        rows = [tuple(pos[g.op(a, b)] for b in self.members) for a in self.members]
-        return Group.from_table(rows, label=label or f"{g.label}|sub{len(self)}")
-
 
 class Group:
     """Finite group on indices 0..size-1, index 0 the identity."""
@@ -255,16 +249,22 @@ class Group:
     def inverse(self, i: int) -> int:
         return self._index[perm_inverse(self.perms[i])]
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The generators the group was built from; for a group built
+        without them (a quotient), the greedy generating set."""
+        return self._gen_indices or self.generating_set()
+
     def _ensure_table(self):
-        """Build the table from the Cayley graph of the generators (every
-        element when there are none): if y = x*g, then column y is column x
-        mapped through right multiplication by g, so the table costs one
-        composition per element and generator instead of one per cell."""
+        """Build the table from the Cayley graph of the generators: if
+        y = x*g, then column y is column x mapped through right
+        multiplication by g, so the table costs one composition per element
+        and generator instead of one per cell."""
         if self._table is not None:
             return
         caps.check("table", self.size, self.label)
         idx = self._index
-        gens = self._gen_indices or tuple(range(self.size))
+        gens = self.generators
         right = [tuple(idx[compose(p, self.perms[g])] for p in self.perms)
                  for g in gens]
         cols: list[Perm | None] = [None] * self.size
@@ -313,10 +313,6 @@ class Group:
 
     def exponent(self) -> int:
         return self.order_spectrum().exponent()
-
-    def is_abelian(self) -> bool:
-        gens = self._gen_indices or tuple(range(self.size))
-        return all(self.op(a, b) == self.op(b, a) for a in gens for b in gens)
 
     def is_cyclic(self) -> bool:
         return self.size == 1 or max(self._orders) == self.size
@@ -414,10 +410,10 @@ class Group:
         return Subgroup(self, mem)
 
     def is_normal(self, sub: Subgroup) -> bool:
-        """g H g^-1 within H for each generator g (every element when there
-        are none); in a finite group that makes H normal."""
+        """g H g^-1 within H for each generator g; in a finite group that
+        makes H normal."""
         mset = sub._member_set
-        for g in self._gen_indices or range(self.size):
+        for g in self.generators:
             ginv = self.inverse(g)
             for h in sub.members:
                 if self.op(self.op(g, h), ginv) not in mset:
@@ -450,11 +446,9 @@ class Group:
         return Group.from_table(rows, label=label or f"{self.label}/H{sub.size}")
 
     def center(self) -> Subgroup:
-        """The elements that commute with each generator (every element when
-        there are none)."""
-        gens = self._gen_indices or range(self.size)
+        """The elements that commute with each generator."""
         members = [z for z in range(self.size)
-                   if all(self.op(z, g) == self.op(g, z) for g in gens)]
+                   if all(self.op(z, g) == self.op(g, z) for g in self.generators)]
         return Subgroup(self, tuple(members))
 
     def is_nilpotent(self) -> bool:
@@ -466,29 +460,18 @@ class Group:
                     return False
         return True
 
-    def sylow_subgroups(self, p: int) -> list[Subgroup]:
-        """All subgroups of order p^k where p^k exactly divides |G|."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if self.size % p != 0:
-            raise ValueError(f"{p} does not divide the group order {self.size}")
-        pk = p ** dict(factorize(self.size).pairs)[p]
-        return [s for s in self.all_subgroups() if s.size == pk]
-
     # -- generators ------------------------------------------------------
 
     def generating_set(self) -> tuple[int, ...]:
-        """Small generating set, greedily preferring high-order elements."""
+        """Small generating set: the generators the group was built from,
+        then high-order elements first, greedily, with redundant picks
+        dropped."""
         if self.size == 1:
             return ()
-        if self._gen_indices:
-            base = [g for g in self._gen_indices if g != 0]
-        else:
-            base = []
         chosen: list[int] = []
         closure: set[int] = {0}
-        candidates = base + sorted(range(1, self.size),
-                                   key=lambda i: (-self._orders[i], i))
+        candidates = [g for g in self._gen_indices if g != 0] + sorted(
+            range(1, self.size), key=lambda i: (-self._orders[i], i))
         for c in candidates:
             if c not in closure:
                 chosen.append(c)
@@ -564,8 +547,7 @@ class Group:
         """
         self._ensure_table()
         table = self._table
-        gens = self._gen_indices or self.generating_set()
-        for b in gens:
+        for b in self.generators:
             row_b = table[b]
             for a, row_a in enumerate(table):
                 # (ab)c = a(bc) for every c: row ab is row a after row b
@@ -587,10 +569,7 @@ def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
     shifted = [tuple(x + da for x in p) for p in b.perms]
     perms = [pa + pb for pa in a.perms for pb in shifted]
     # pair (i, j) sits at index i*|B| + j; embedded generators stay generators
-    if (a.size == 1 or a._gen_indices) and (b.size == 1 or b._gen_indices):
-        gen_indices = tuple(g * b.size for g in a._gen_indices) + tuple(b._gen_indices)
-    else:
-        gen_indices = ()
+    gen_indices = tuple(g * b.size for g in a.generators) + b.generators
     return Group(perms, label=label, gen_indices=gen_indices)
 
 

@@ -352,7 +352,8 @@ def _spectrum_source(e: GroupExpr, entries, order=None):
         case Cyclic(n):
             return _closed_form(n)
         case Dihedral(two_n):
-            return _closed_form(two_n // 2, reflections=two_n // 2)
+            n = families.dihedral_n(two_n)
+            return _closed_form(n, reflections=n)
         case Product(factors):
             orders = [expr_order(f) for f in factors]
             if _pairwise_coprime(orders):

@@ -516,6 +516,8 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
             result.add_witness(e.name, "(a) cyclicity test inconsistent")
 
         subs = g.all_subgroups()
+        # (m(N), G/N) by the members of each normal subgroup N, for (d)
+        quotients: dict[tuple[int, ...], tuple[Fraction, Group]] = {}
         for sub in subs:
             mh = _m_of_elements(g, sub.members)
             # (b) subgroup monotonicity, strict below the whole group
@@ -531,6 +533,7 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
             # (c) quotient monotonicity for normal subgroups
             if g.is_normal(sub):
                 q = g.quotient(sub)
+                quotients[sub.members] = (mh, q)
                 mq = m_of(q)
                 if not (mq <= mg and (mq == mg) == sub.is_trivial()):
                     result.passed = False
@@ -541,15 +544,14 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
                     result.passed = False
                     result.add_witness(e.name, f"(c) h_m vs |H| h_m(G/H), |H| = {sub.size}")
 
-        # (d) normal cyclic Sylow subgroups, taken from the lattice of (b)
-        #     and (c): flagged, not failed
+        # (d) normal cyclic Sylow subgroups and their quotients, taken from
+        #     (b) and (c): flagged, not failed
         center = set(g.center().members)
         for p, k in factorize(n):
             for syl in [h for h in subs if h.size == p ** k]:
-                if not syl.is_cyclic() or not g.is_normal(syl):
+                if not syl.is_cyclic() or syl.members not in quotients:
                     continue
-                mp = _m_of_elements(g, syl.members)
-                q = g.quotient(syl)
+                mp, q = quotients[syl.members]
                 mq = m_of(q)
                 central = set(syl.members) <= center
                 if not (mg >= mp * mq and (mg == mp * mq) == central):
@@ -562,11 +564,11 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
                     result.caveats.append(
                         f"(d) flagged on {e.name}, P = Sylow-{p}: h_m(G) = {hg}, "
                         f"h_m(P)h_m(G/P) = {hp * hq}, P central = {central}")
-                # coset-level inequality m(Px) >= m(P)/o(Px)
-                coset_of, reps = g.cosets(syl)
+                # coset-level inequality m(Px) >= m(P)/o(Px); element cid
+                # of q is the coset rep.P
+                _, reps = g.cosets(syl)
                 for cid, rep in enumerate(reps):
-                    coset_members = [x for x in range(n) if coset_of[x] == cid]
-                    m_coset = _m_of_elements(g, coset_members)
+                    m_coset = _m_of_elements(g, [g.op(rep, h) for h in syl.members])
                     o_coset = q.element_order(cid)
                     centralizes = all(g.op(rep, h) == g.op(h, rep)
                                       for h in syl.members)
@@ -698,23 +700,25 @@ def scan_integer_hm(entries: list[CatalogEntry], cyclic_max: int = 128,
 
 
 CHECKS = {
-    "thm2.2": lambda entries, opts: check_theorem_2_2(entries),
-    "thm2.5": lambda entries, opts: check_theorem_2_5(entries),
-    "thm2.8": lambda entries, opts: check_theorem_2_8(entries),
-    "prop2.6": lambda entries, opts: check_prop_2_6(opts.get("nmax", 100_000)),
-    "prop2.9-2.10": lambda entries, opts: check_prop_2_9_2_10(entries),
-    "lemma2.1": lambda entries, opts: check_lemma_2_1(entries),
-    "eq9": lambda entries, opts: check_eq_9(entries),
-    "congruences": lambda entries, opts: check_congruences(entries),
-    "prop2.1-2.2": lambda entries, opts: check_prop_2_1_2_2(
-        entries, opts.get("product_cap", 256)),
-    "c-convention": lambda entries, opts: check_c_convention(),
+    "thm2.2": lambda entries, nmax: check_theorem_2_2(entries),
+    "thm2.5": lambda entries, nmax: check_theorem_2_5(entries),
+    "thm2.8": lambda entries, nmax: check_theorem_2_8(entries),
+    "prop2.6": lambda entries, nmax: check_prop_2_6(nmax),
+    "prop2.9-2.10": lambda entries, nmax: check_prop_2_9_2_10(entries),
+    "lemma2.1": lambda entries, nmax: check_lemma_2_1(entries),
+    "eq9": lambda entries, nmax: check_eq_9(entries),
+    "congruences": lambda entries, nmax: check_congruences(entries),
+    "prop2.1-2.2": lambda entries, nmax: check_prop_2_1_2_2(entries),
+    "c-convention": lambda entries, nmax: check_c_convention(),
 }
 
 
-def run_checks(entries: list[CatalogEntry], ids=None, **options) -> list[CheckResult]:
+def run_checks(entries: list[CatalogEntry], ids=None,
+               nmax: int = 100_000) -> list[CheckResult]:
+    """Run the checks named by `ids` (default: all); `nmax` bounds the
+    prop2.6 dihedral scan."""
     ids = list(CHECKS) if ids is None else list(ids)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check id(s) {unknown}; valid ids: {sorted(CHECKS)}")
-    return [CHECKS[i](entries, options) for i in ids]
+    return [CHECKS[i](entries, nmax) for i in ids]

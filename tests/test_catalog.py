@@ -1,9 +1,8 @@
 import pytest
 
 from hmgroups import families as fam
-from hmgroups.catalog import (SMALL_GROUP_COUNTS, CatalogFormatError, find,
-                              get, load_catalog, missing_orders,
-                              validate_catalog)
+from hmgroups.catalog import (SMALL_GROUP_COUNTS, CatalogFormatError, get,
+                              load_catalog, missing_orders, validate_catalog)
 from hmgroups.groupkernel import is_isomorphic
 from hmgroups.statistics import h_m_of
 
@@ -52,11 +51,6 @@ class TestDefaultCatalog:
     def test_get_missing(self, entries):
         with pytest.raises(KeyError):
             get(entries, 17, 1)
-
-    def test_find_by_name(self, entries):
-        assert find(entries, "Q8").order == 8
-        with pytest.raises(KeyError):
-            find(entries, "M11")
 
     def test_spectrum_identical_pairs_distinguished(self, by_name):
         # order-16 triples sharing a spectrum must still be non-isomorphic

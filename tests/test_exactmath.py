@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmgroups import exactmath
-from hmgroups.exactmath import (SIEVE_BLOCK, Factorization, divisors, euler_phi,
-                                factorize, format_rational, is_integer, is_prime,
+from hmgroups.exactmath import (SIEVE_BLOCK, divisors, euler_phi, factorize,
+                                format_rational, is_integer, is_prime,
                                 m_cyclic_terms, phi_from_primes, rat,
-                                rational_decimal, smallest_prime_divisor,
-                                to_integer)
+                                rational_decimal, smallest_prime_divisor)
 from hmgroups.statistics import m_cyclic_closed
 
 
@@ -51,13 +50,11 @@ class TestRat:
 class TestIntegerPredicate:
     def test_integer(self):
         assert is_integer(rat(4, 1))
-        assert to_integer(rat(8, 2)) == 4
+        assert is_integer(rat(8, 2))
 
     def test_non_integer(self):
         assert not is_integer(rat(24, 7))
         assert not is_integer(rat(16, 5))
-        with pytest.raises(ValueError):
-            to_integer(rat(24, 7))
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
@@ -94,10 +91,6 @@ class TestFactorize:
         f = factorize(n)
         assert f.value() == n
         assert all(is_prime(p) and e >= 1 for p, e in f)
-
-    def test_divisor_count(self):
-        assert Factorization(((2, 2), (3, 1))).divisor_count() == 6
-        assert factorize(1).divisor_count() == 1
 
     def test_is_prime_power(self):
         assert factorize(16).is_prime_power()

@@ -236,7 +236,7 @@ def _center_by_definition(g):
 
 def _with_quotients(groups):
     """Each group, then its quotients by its normal subgroups, which are
-    built from tables and have no generators."""
+    built from tables, so their generators are the greedy generating set."""
     out = []
     for g in groups:
         out.append(g)
@@ -267,10 +267,15 @@ class TestGeneratorShortcuts:
             assert g.center().members == _center_by_definition(g), g.label
 
     def test_products(self):
-        for a, b in ((fam.dihedral(8), fam.cyclic(2)),
+        d8 = fam.dihedral(8)
+        # D8/Z(D8) is built from a table, so the product takes its generators
+        # from the greedy generating set
+        for a, b in ((d8, fam.cyclic(2)),
                      (fam.symmetric(3), fam.generalized_quaternion(8)),
-                     (fam.dicyclic(3), fam.cyclic(4))):
+                     (fam.dicyclic(3), fam.cyclic(4)),
+                     (d8.quotient(d8.center()), fam.cyclic(2))):
             g = direct_product(a, b)
+            assert len(g.generated_subgroup(g.generators)) == g.size
             assert g.center().members == _center_by_definition(g)
             for sub in g.all_subgroups():
                 assert g.is_normal(sub) == _normal_by_definition(g, sub)
@@ -433,21 +438,23 @@ class TestIsomorphism:
 
 
 class TestSylow:
+    """prop2.1-2.2 (d) takes the Sylow subgroups from the lattice by size."""
+
+    @staticmethod
+    def sylow(g, pk):
+        return [s for s in g.all_subgroups() if s.size == pk]
+
     def test_s3(self):
         s3 = fam.symmetric(3)
-        syl3 = s3.sylow_subgroups(3)
-        assert len(syl3) == 1 and syl3[0].size == 3
-        assert len(s3.sylow_subgroups(2)) == 3
+        (syl3,) = self.sylow(s3, 3)
+        assert syl3.is_cyclic() and s3.is_normal(syl3)
+        syl2 = self.sylow(s3, 2)
+        assert len(syl2) == 3 and not any(s3.is_normal(s) for s in syl2)
 
     def test_c12(self):
-        syl = fam.cyclic(12).sylow_subgroups(2)
-        assert len(syl) == 1 and syl[0].size == 4
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            fam.symmetric(3).sylow_subgroups(5)
-        with pytest.raises(ValueError):
-            fam.symmetric(3).sylow_subgroups(4)
+        g = fam.cyclic(12)
+        (syl,) = self.sylow(g, 4)
+        assert syl.is_cyclic() and g.is_normal(syl)
 
 
 # a Latin square with an identity that is not a group; generating_set()

@@ -174,6 +174,12 @@ class TestEvalExpr:
         assert rep.spectrum is not None
         assert dict(rep.spectrum.entries) == {1: 1, 2: 5, 4: 2}
 
+    def test_odd_dihedral_order_rejected(self):
+        # the closed form keeps the rule of families.dihedral: D(7) is no group
+        for e in (Dihedral(7), Product((Dihedral(7), Cyclic(5)))):
+            with pytest.raises(ValueError, match="dihedral order must be even"):
+                eval_expr(e)
+
     def test_dihedral_closed_form_matches_enumeration(self):
         for order in (4, 6, 8, 12, 20, 30):
             rep = eval_expr(Dihedral(order))

@@ -301,6 +301,10 @@ class TestRegistry:
         failed = {r.check_id for r in results if not r.passed}
         assert failed == {"lemma2.1"}
 
+    def test_misspelt_option(self, entries):
+        with pytest.raises(TypeError):
+            run_checks(entries, ["prop2.6"], nmaxx=5)
+
     def test_unknown_id(self, entries):
         with pytest.raises(KeyError):
             run_checks(entries, ["nope"])
