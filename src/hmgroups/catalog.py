@@ -33,7 +33,10 @@ CATALOG_EXHAUSTIVE_LIMIT = 16
 
 
 class MissingEntry(KeyError):
-    """No catalog entry has the requested (order, id) or name."""
+    """No catalog entry has the requested (order, id)."""
+
+    def __str__(self):  # KeyError's own quotes its message
+        return str(self.args[0])
 
 
 class CatalogFormatError(ValueError):

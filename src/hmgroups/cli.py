@@ -16,6 +16,7 @@ order 8).  Every number is below 10^MAX_NUMBER_DIGITS.  Exit codes:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -27,11 +28,9 @@ import click
 from . import caps
 from .catalog import (CatalogFormatError, MissingEntry, default_catalog,
                       load_catalog_file, validate_catalog)
-from .exactmath import format_rational, is_prime, rational_decimal
+from .exactmath import format_rational, rational_decimal
 from .groupkernel import is_isomorphic
-from .statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral, ElemAbelian,
-                         GenQuaternion, GroupExpr, Product, SL23, SemiDihedral,
-                         Symmetric, eval_expr, realize)
+from .statistics import ATOMS, GroupExpr, Product, eval_expr, realize
 from .verifier import CHECKS, run_checks, scan_integer_hm
 
 
@@ -57,8 +56,11 @@ def _number_too_large(offset: int) -> ExprParseError:
         offset)
 
 
+# per atom head: the expression class, its number of fields and its requirements
+_ATOM_HEADS = {row.head: (cls, len(dataclasses.fields(cls)), row.requires)
+               for cls, row in ATOMS.items()}
 # longest match first so "SL23x" lexes as SL23 then the product operator
-_TOKEN_HEADS = ("SL23", "Dic", "Cat", "SD", "C", "D", "Q", "E", "S", "x")
+_TOKEN_HEADS = tuple(sorted([*_ATOM_HEADS, "x"], key=len, reverse=True))
 
 
 def _tokenize(text: str):
@@ -102,23 +104,8 @@ def _tokenize(text: str):
     return tokens
 
 
-# atoms with arguments: argument count, constructor, then the requirements
-# on the arguments, each a test and the message when it fails
-_ATOMS = {
-    "C": (1, Cyclic, (lambda n: n >= 1, "C(n) needs n >= 1")),
-    "D": (1, Dihedral, (lambda n: n >= 2 and n % 2 == 0,
-                        "D(n) needs an even order >= 2, got {0}")),
-    "Q": (1, GenQuaternion, (lambda n: n >= 8 and not n & (n - 1),
-                             "Q(n) needs a power of two >= 8, got {0}")),
-    "SD": (1, SemiDihedral, (lambda n: n >= 16 and not n & (n - 1),
-                             "SD(n) needs a power of two >= 16, got {0}")),
-    "E": (2, ElemAbelian, (lambda p, k: is_prime(p), "E(p,k) needs p prime, got {0}"),
-          (lambda p, k: k >= 1, "E(p,k) needs k >= 1, got {1}")),
-    "S": (1, Symmetric, (lambda n: n >= 1, "S(n) needs n >= 1, got {0}")),
-    "Dic": (1, Dicyclic, (lambda n: n >= 2, "Dic(n) needs n >= 2, got {0}")),
-    "Cat": (2, CatalogRef, (lambda order, gid: order >= 1 and gid >= 1,
-                            "Cat(order,id) needs positive arguments")),
-}
+def _found(tok) -> str:
+    return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
 class _Parser:
@@ -133,7 +120,7 @@ class _Parser:
     def take(self, kind: str):
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            raise ExprParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ExprParseError(f"expected {kind!r}, found {_found(tok)}", tok[2])
         self.pos += 1
         return tok
 
@@ -176,22 +163,18 @@ class _Parser:
         return args
 
     def parse_atom(self) -> GroupExpr:
-        kind, value, offset = self.peek()
+        kind, head, offset = tok = self.peek()
         if kind != "word":
-            raise ExprParseError(f"expected a group name, found {value!r}", offset)
-        if value == "SL23":
-            self.pos += 1
-            return SL23()
-        head = value
+            raise ExprParseError(f"expected a group name, found {_found(tok)}", offset)
+        if head not in _ATOM_HEADS:
+            raise ExprParseError(f"unknown group name {head!r}", offset)
         self.pos += 1
-        if head in _ATOMS:
-            count, make, *requirements = _ATOMS[head]
-            args = self.parse_args(count)
-            for valid, message in requirements:
-                if not valid(*args):
-                    raise ExprParseError(message.format(*args), offset)
-            return make(*args)
-        raise ExprParseError(f"unknown group name {head!r}", offset)
+        make, count, requirements = _ATOM_HEADS[head]
+        args = self.parse_args(count) if count else []
+        for valid, message in requirements:
+            if not valid(*args):
+                raise ExprParseError(message.format(*args), offset)
+        return make(*args)
 
 
 def parse_expr(text: str) -> GroupExpr:
@@ -410,14 +393,15 @@ def _scan_text(report, fmt: str, digits: int) -> str:
 @click.pass_obj
 def verify(state: CliState, check_list, run_all_flag, nmax):
     """Run verification checks; exit 1 if any check fails."""
-    if check_list and run_all_flag:
+    if check_list is not None and run_all_flag:
         raise click.UsageError("--check and --all are mutually exclusive")
-    if check_list:
+    if check_list is not None:
         ids = [c.strip() for c in check_list.split(",") if c.strip()]
         unknown = [c for c in ids if c not in CHECKS]
-        if unknown:
+        if unknown or not ids:
+            problem = f"unknown check id(s) {unknown}" if unknown else "no check id given"
             raise click.UsageError(
-                f"unknown check id(s) {unknown}; valid ids: {', '.join(sorted(CHECKS))}")
+                f"{problem}; valid ids: {', '.join(sorted(CHECKS))}")
     else:
         ids = None  # all
     results = run_checks(state.entries, ids, nmax=nmax)

@@ -17,14 +17,14 @@ def _power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def cyclic(n: int, label: str | None = None) -> Group:
+def cyclic(n: int) -> Group:
     """Cyclic group of order n as the closure of one n-cycle."""
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     if n == 1:
-        return Group.from_generators(1, [], label=label or "C1")
+        return Group.from_generators(1, [], label="C1")
     gen = tuple(list(range(1, n)) + [0])
-    return Group.from_generators(n, [gen], label=label or f"C{n}")
+    return Group.from_generators(n, [gen], label=f"C{n}")
 
 
 def dihedral_n(two_n: int) -> int:
@@ -35,10 +35,10 @@ def dihedral_n(two_n: int) -> int:
     return two_n // 2
 
 
-def dihedral(two_n: int, label: str | None = None) -> Group:
+def dihedral(two_n: int) -> Group:
     """Dihedral group of order 2n: rotations of an n-gon plus reflections."""
     n = dihedral_n(two_n)
-    lbl = label or f"D{two_n}"
+    lbl = f"D{two_n}"
     if n == 1:
         return Group.from_generators(2, [(1, 0)], label=lbl)
     if n == 2:
@@ -49,15 +49,19 @@ def dihedral(two_n: int, label: str | None = None) -> Group:
     return Group.from_generators(n, [rot, ref], label=lbl)
 
 
-def dicyclic(n: int, label: str | None = None) -> Group:
+def dicyclic(n: int) -> Group:
     """Dicyclic group of order 4n: <a, b | a^(2n) = 1, b^2 = a^n, bab^-1 = a^-1>.
 
     Realized by left multiplication on the 4n normal forms a^i b^j.
     """
     if n < 2:
         raise ValueError(f"dicyclic parameter must be >= 2, got {n}")
+    return _dicyclic(n, f"Dic{n}")
+
+
+def _dicyclic(n: int, label: str) -> Group:
+    """dicyclic(n) under `label`, the name its closure cap reports."""
     big_n = 2 * n
-    label = label or f"Dic{n}"
     caps.check("closure", 4 * n, label)
 
     def idx(i: int, j: int) -> int:
@@ -76,15 +80,15 @@ def dicyclic(n: int, label: str | None = None) -> Group:
     return Group.from_generators(4 * n, [tuple(perm_a), tuple(perm_b)], label=label)
 
 
-def generalized_quaternion(two_pow_n: int, label: str | None = None) -> Group:
+def generalized_quaternion(two_pow_n: int) -> Group:
     """Generalized quaternion group of order 2^n, n >= 3."""
     if not _power_of_two(two_pow_n) or two_pow_n < 8:
         raise ValueError(
             f"generalized quaternion order must be a power of two >= 8, got {two_pow_n}")
-    return dicyclic(two_pow_n // 4, label=label or f"Q{two_pow_n}")
+    return _dicyclic(two_pow_n // 4, f"Q{two_pow_n}")
 
 
-def semidihedral(two_pow_n: int, label: str | None = None) -> Group:
+def semidihedral(two_pow_n: int) -> Group:
     """Semidihedral group of order 2^n, n >= 4:
     <a, b | a^(2^(n-1)) = b^2 = 1, bab^-1 = a^(2^(n-2) - 1)>.
     """
@@ -104,16 +108,16 @@ def semidihedral(two_pow_n: int, label: str | None = None) -> Group:
             perm_a[idx(i, j)] = idx(i + 1, j)
             perm_b[idx(i, j)] = idx(t * i, 1 - j)
     return Group.from_generators(two_pow_n, [tuple(perm_a), tuple(perm_b)],
-                                 label=label or f"SD{two_pow_n}")
+                                 label=f"SD{two_pow_n}")
 
 
-def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
+def elementary_abelian(p: int, k: int) -> Group:
     """C_p^k: k commuting p-cycles on disjoint blocks."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k}")
-    label = label or f"C{p}^{k}"
+    label = f"C{p}^{k}"
     caps.check("closure", p ** k, label)
     degree = p * k
     gens = []
@@ -126,11 +130,11 @@ def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
     return Group.from_generators(degree, gens, label=label)
 
 
-def symmetric(n: int, label: str | None = None) -> Group:
+def symmetric(n: int) -> Group:
     """Symmetric group on n points."""
     if n < 1:
         raise ValueError(f"symmetric degree must be >= 1, got {n}")
-    lbl = label or f"S{n}"
+    lbl = f"S{n}"
     if n == 1:
         return Group.from_generators(1, [], label=lbl)
     cycle = tuple(list(range(1, n)) + [0])
@@ -139,7 +143,7 @@ def symmetric(n: int, label: str | None = None) -> Group:
     return Group.from_generators(n, gens, label=lbl)
 
 
-def sl23(label: str | None = None) -> Group:
+def sl23() -> Group:
     """SL(2,3) acting on the 8 nonzero vectors of F_3^2."""
     vectors = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
     pos = {v: i for i, v in enumerate(vectors)}
@@ -151,4 +155,4 @@ def sl23(label: str | None = None) -> Group:
 
     gen_a = action(((1, 1), (0, 1)))
     gen_b = action(((0, 2), (1, 0)))
-    return Group.from_generators(8, [gen_a, gen_b], label=label or "SL(2,3)")
+    return Group.from_generators(8, [gen_a, gen_b], label="SL(2,3)")

@@ -17,11 +17,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import caps
 from . import catalog as catalog_mod
 from . import families
-from .exactmath import (Rational, factorize, format_rational, is_integer,
+from .exactmath import (Rational, factorize, format_rational, is_integer, is_prime,
                         phi_from_primes, rational_decimal, smallest_prime_divisor)
 from .groupkernel import Group, OrderSpectrum, direct_product
 
@@ -174,27 +175,80 @@ def _huge(bits: int) -> caps.Huge | None:
     return caps.Huge(bits) if bits > _BUILD_BITS else None
 
 
+def _closed_form(n: int, reflections: int = 0):
+    """Spectrum of C(n), phi(d) elements of order d for each d | n, plus
+    `reflections` of order 2 (D(2n) has n), from one factorization of n."""
+    fac = factorize(n)
+    primes = fac.primes()
+    counts = {d: phi_from_primes(d, primes) for d in fac.divisors()}
+    if reflections:
+        counts[2] = counts.get(2, 0) + reflections
+        primes = tuple(sorted({2, *primes}))
+    return OrderSpectrum(tuple(sorted(counts.items()))), primes, "closed_form"
+
+
+def _dihedral_form(two_n: int):
+    n = families.dihedral_n(two_n)
+    return _closed_form(n, reflections=n)
+
+
+class Atom(NamedTuple):
+    """One atom of the expression grammar; each function takes its fields in
+    order.  `builder` names the families constructor, looked up at each call
+    so that a wrapper installed on the module sees it (None: the catalog).
+    `requires` pairs the parser's tests with their messages."""
+    head: str
+    order: Callable[..., int | caps.Huge]  # or a lower bound, if too large to build
+    builder: str | None
+    spectrum: Callable[..., tuple] | None  # (spectrum, primes, path), no enumeration
+    requires: tuple[tuple[Callable[..., bool], str], ...] = ()
+
+
+# Every named atom, keyed by its expression class: the one place an atom is
+# defined for parsing, order, text, building and closed-form spectra.
+ATOMS: dict[type, Atom] = {
+    Cyclic: Atom("C", lambda n: n, "cyclic", _closed_form,
+                 ((lambda n: n >= 1, "C(n) needs n >= 1"),)),
+    Dihedral: Atom("D", lambda order: order, "dihedral", _dihedral_form,
+                   ((lambda n: n >= 2 and n % 2 == 0,
+                     "D(n) needs an even order >= 2, got {0}"),)),
+    GenQuaternion: Atom("Q", lambda order: order, "generalized_quaternion", None,
+                        ((lambda n: n >= 8 and not n & (n - 1),
+                          "Q(n) needs a power of two >= 8, got {0}"),)),
+    SemiDihedral: Atom("SD", lambda order: order, "semidihedral", None,
+                       ((lambda n: n >= 16 and not n & (n - 1),
+                         "SD(n) needs a power of two >= 16, got {0}"),)),
+    ElemAbelian: Atom("E", lambda p, k: _huge(k * (p.bit_length() - 1)) or p ** k,
+                      "elementary_abelian", None,
+                      ((lambda p, k: is_prime(p), "E(p,k) needs p prime, got {0}"),
+                       (lambda p, k: k >= 1, "E(p,k) needs k >= 1, got {1}"))),
+    Symmetric: Atom("S", lambda n: (_huge((n + 1) // 2 * ((n // 2).bit_length() - 1))
+                                    or math.factorial(n)),
+                    "symmetric", None, ((lambda n: n >= 1, "S(n) needs n >= 1, got {0}"),)),
+    SL23: Atom("SL23", lambda: 24, "sl23", None),
+    Dicyclic: Atom("Dic", lambda n: 4 * n, "dicyclic", None,
+                   ((lambda n: n >= 2, "Dic(n) needs n >= 2, got {0}"),)),
+    CatalogRef: Atom("Cat", lambda order, gid: order, None, None,
+                     ((lambda order, gid: order >= 1 and gid >= 1,
+                       "Cat(order,id) needs positive arguments"),)),
+}
+
+
+def _atom(e: GroupExpr) -> tuple[Atom, tuple]:
+    """The table row of an atom and the atom's field values."""
+    row = ATOMS.get(type(e))
+    if row is None:
+        raise TypeError(f"not a group expression: {e!r}")
+    return row, tuple(vars(e).values())
+
+
 def expr_order(e: GroupExpr) -> int | caps.Huge:
     """Group order of an expression, computed without enumeration; for an
     S(n) or E(p,k) too large to build, a lower bound on it."""
-    match e:
-        case Cyclic(n):
-            return n
-        case Dihedral(order) | GenQuaternion(order) | SemiDihedral(order):
-            return order
-        case ElemAbelian(p, k):
-            return _huge(k * (p.bit_length() - 1)) or p ** k
-        case Symmetric(n):
-            return _huge((n + 1) // 2 * ((n // 2).bit_length() - 1)) or math.factorial(n)
-        case SL23():
-            return 24
-        case Dicyclic(n):
-            return 4 * n
-        case CatalogRef(order, _):
-            return order
-        case Product(factors):
-            return _product_order([expr_order(f) for f in factors])
-    raise TypeError(f"not a group expression: {e!r}")
+    if isinstance(e, Product):
+        return _product_order([expr_order(f) for f in e.factors])
+    row, args = _atom(e)
+    return row.order(*args)
 
 
 def _product_order(orders: list[int | caps.Huge]) -> int | caps.Huge:
@@ -204,28 +258,10 @@ def _product_order(orders: list[int | caps.Huge]) -> int | caps.Huge:
 
 def expr_text(e: GroupExpr) -> str:
     """Canonical expression text; parsing it reproduces the expression."""
-    match e:
-        case Cyclic(n):
-            return f"C({n})"
-        case Dihedral(order):
-            return f"D({order})"
-        case GenQuaternion(order):
-            return f"Q({order})"
-        case SemiDihedral(order):
-            return f"SD({order})"
-        case ElemAbelian(p, k):
-            return f"E({p},{k})"
-        case Symmetric(n):
-            return f"S({n})"
-        case SL23():
-            return "SL23"
-        case Dicyclic(n):
-            return f"Dic({n})"
-        case CatalogRef(order, gid):
-            return f"Cat({order},{gid})"
-        case Product(factors):
-            return " x ".join(expr_text(f) for f in factors)
-    raise TypeError(f"not a group expression: {e!r}")
+    if isinstance(e, Product):
+        return " x ".join(expr_text(f) for f in e.factors)
+    row, args = _atom(e)
+    return f"{row.head}({','.join(map(str, args))})" if args else row.head
 
 
 def realize(e: GroupExpr, entries=None, order=None) -> Group:
@@ -238,33 +274,17 @@ def realize(e: GroupExpr, entries=None, order=None) -> Group:
 def _build(e: GroupExpr, entries) -> Group:
     """realize without the check: no factor of a product is larger than
     the product, and direct_product checks each partial product."""
-    match e:
-        case Cyclic(n):
-            return families.cyclic(n)
-        case Dihedral(order):
-            return families.dihedral(order)
-        case GenQuaternion(order):
-            return families.generalized_quaternion(order)
-        case SemiDihedral(order):
-            return families.semidihedral(order)
-        case ElemAbelian(p, k):
-            return families.elementary_abelian(p, k)
-        case Symmetric(n):
-            return families.symmetric(n)
-        case SL23():
-            return families.sl23()
-        case Dicyclic(n):
-            return families.dicyclic(n)
-        case CatalogRef(order, gid):
-            if entries is None:
-                entries = catalog_mod.default_catalog()
-            return catalog_mod.get(entries, order, gid)
-        case Product(factors):
-            g = _build(factors[0], entries)
-            for f in factors[1:]:
-                g = direct_product(g, _build(f, entries))
-            return g
-    raise TypeError(f"not a group expression: {e!r}")
+    if isinstance(e, Product):
+        g = _build(e.factors[0], entries)
+        for f in e.factors[1:]:
+            g = direct_product(g, _build(f, entries))
+        return g
+    row, args = _atom(e)
+    if row.builder is not None:
+        return getattr(families, row.builder)(*args)
+    if entries is None:
+        entries = catalog_mod.default_catalog()
+    return catalog_mod.get(entries, *args)
 
 
 # -- evaluation reports -------------------------------------------------------
@@ -330,41 +350,27 @@ def _pairwise_coprime(orders: list[int | caps.Huge]) -> bool:
             and all(math.gcd(a, b) == 1 for a, b in itertools.combinations(orders, 2)))
 
 
-def _closed_form(n: int, reflections: int = 0):
-    """Spectrum of C(n), phi(d) elements of order d for each d | n, plus
-    `reflections` of order 2 (D(2n) has n), from one factorization of n."""
-    fac = factorize(n)
-    primes = fac.primes()
-    counts = {d: phi_from_primes(d, primes) for d in fac.divisors()}
-    if reflections:
-        counts[2] = counts.get(2, 0) + reflections
-        primes = tuple(sorted({2, *primes}))
-    return OrderSpectrum(tuple(sorted(counts.items()))), primes, "closed_form"
-
-
 def _spectrum_source(e: GroupExpr, entries, order=None):
-    """(order spectrum, primes of the order, path) of an expression: the
-    closed form of a lone C(n) or D(2n), the lcm-convolution of the factors'
-    spectra for a pairwise-coprime product, and enumeration within the
-    limit for anything else.  `order` is expr_order(e), when known: each
-    factor's order is computed once, as an S(n) order may be costly."""
-    match e:
-        case Cyclic(n):
-            return _closed_form(n)
-        case Dihedral(two_n):
-            n = families.dihedral_n(two_n)
-            return _closed_form(n, reflections=n)
-        case Product(factors):
-            orders = [expr_order(f) for f in factors]
-            if _pairwise_coprime(orders):
-                spectrum = OrderSpectrum(((1, 1),))
-                primes: set[int] = set()
-                for f, f_order in zip(factors, orders):
-                    part, part_primes, _ = _spectrum_source(f, entries, f_order)
-                    spectrum = _convolve_spectra(spectrum, part)
-                    primes.update(part_primes)
-                return spectrum, tuple(sorted(primes)), "multiplicative"
-            order = _product_order(orders)
+    """(order spectrum, primes of the order, path) of an expression: an
+    atom's closed form, the lcm-convolution of the factors' spectra for a
+    pairwise-coprime product, and enumeration within the limit for anything
+    else.  `order` is expr_order(e), when known: each factor's order is
+    computed once, as an S(n) order may be costly."""
+    if isinstance(e, Product):
+        orders = [expr_order(f) for f in e.factors]
+        if _pairwise_coprime(orders):
+            spectrum = OrderSpectrum(((1, 1),))
+            primes: set[int] = set()
+            for f, f_order in zip(e.factors, orders):
+                part, part_primes, _ = _spectrum_source(f, entries, f_order)
+                spectrum = _convolve_spectra(spectrum, part)
+                primes.update(part_primes)
+            return spectrum, tuple(sorted(primes)), "multiplicative"
+        order = _product_order(orders)
+    else:
+        row, args = _atom(e)
+        if row.spectrum is not None:
+            return row.spectrum(*args)
     g = realize(e, entries, order)
     return g.order_spectrum(), factorize(g.size).primes(), "brute"
 

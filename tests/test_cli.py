@@ -14,7 +14,7 @@ from hmgroups.cli import ExprParseError, _scan_text, main, parse_expr
 from hmgroups.statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral,
                                  ElemAbelian, GenQuaternion, GroupExpr, Product,
                                  SL23, SemiDihedral, Symmetric, expr_text)
-from hmgroups.verifier import scan_integer_hm
+from hmgroups.verifier import CHECKS, scan_integer_hm
 
 
 @pytest.fixture
@@ -109,6 +109,17 @@ class TestParser:
         offset = text.rindex(" ") + 1 if " " in text else 0
         assert str(err.value) == f"{message} (at offset {offset})"
 
+    @pytest.mark.parametrize("text, message", [
+        ("C(4)x", "expected a group name, found end of input (at offset 5)"),
+        ("C(4", "expected ')', found end of input (at offset 3)"),
+        ("", "expected a group name, found end of input (at offset 0)"),
+        ("C(4,", "expected ')', found ',' (at offset 3)"),
+    ])
+    def test_end_of_input_is_named(self, text, message):
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == message
+
 
 # Grammar tokens mixed with digits of other scripts, decimal or not.  At most
 # ten tokens, so a number literal has at most eight digits and the
@@ -148,7 +159,7 @@ def test_missing_catalog_entry_is_usage_error(runner, command):
     res = runner.invoke(main, [command, "Cat(16,99)"])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert "no catalog entry (16, 99)" in res.output
+    assert res.output.splitlines()[-1] == "Error: no catalog entry (16, 99)"
     assert "Traceback" not in res.output
 
 
@@ -469,6 +480,13 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--check", "thm9.9"])
         assert res.exit_code == 2
         assert "thm2.5" in res.output  # usage error lists valid ids
+
+    @pytest.mark.parametrize("check_list", [",", "", " , "])
+    def test_check_list_naming_no_id(self, runner, check_list):
+        res = runner.invoke(main, ["verify", "--check", check_list])
+        assert res.exit_code == 2
+        assert res.output.splitlines()[-1] == (
+            "Error: no check id given; valid ids: " + ", ".join(sorted(CHECKS)))
 
     def test_incomplete_catalog_caveat(self, runner, tmp_path, entries):
         partial = tmp_path / "partial.jsonl"

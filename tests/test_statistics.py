@@ -1,5 +1,6 @@
 import json
 import math
+import typing
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from hmgroups import caps, exactmath, groupkernel, statistics
 from hmgroups import families as fam
 from hmgroups.catalog import default_catalog
-from hmgroups.cli import parse_expr
+from hmgroups.cli import ExprParseError, parse_expr
 from hmgroups.exactmath import euler_phi
 from hmgroups.groupkernel import CapExceeded, direct_product
 from hmgroups.statistics import (CatalogRef, Cyclic, Dicyclic, Dihedral,
-                                 ElemAbelian, GenQuaternion, Product, SL23,
+                                 ElemAbelian, GenQuaternion, GroupExpr, Product, SL23,
                                  SemiDihedral, Symmetric, eval_expr, expr_order,
                                  expr_text, h_m_cyclic_closed,
                                  h_m_dihedral_closed, h_m_of, h_m_pgroup_closed,
@@ -112,6 +113,64 @@ class TestBounds:
             lemma_bound(fam.cyclic(1))
         with pytest.raises(ValueError):
             weak_bound(1)
+
+
+# per atom class: a small instance, then for each requirement of its row, in
+# order, arguments that fail it and pass the requirements before it
+ATOM_CASES = {
+    Cyclic: (Cyclic(6), [(0,)]),
+    Dihedral: (Dihedral(12), [(7,)]),
+    GenQuaternion: (GenQuaternion(16), [(12,)]),
+    SemiDihedral: (SemiDihedral(16), [(8,)]),
+    ElemAbelian: (ElemAbelian(3, 2), [(4, 1), (2, 0)]),
+    Symmetric: (Symmetric(4), [(0,)]),
+    SL23: (SL23(), []),
+    Dicyclic: (Dicyclic(3), [(1,)]),
+    CatalogRef: (CatalogRef(12, 1), [(0, 1)]),
+}
+
+
+class TestAtomTable:
+    def test_every_atom_class_has_a_row(self):
+        atom_classes = set(typing.get_args(GroupExpr)) - {Product}
+        assert set(statistics.ATOMS) == atom_classes == set(ATOM_CASES)
+        heads = [row.head for row in statistics.ATOMS.values()]
+        assert len(set(heads)) == len(heads)
+
+    @pytest.mark.parametrize("cls", list(statistics.ATOMS),
+                             ids=[row.head for row in statistics.ATOMS.values()])
+    def test_row(self, monkeypatch, entries, cls):
+        row = statistics.ATOMS[cls]
+        e, bad = ATOM_CASES[cls]
+        args = tuple(vars(e).values())
+        assert parse_expr(expr_text(e)) == e
+        assert expr_order(e) == row.order(*args) == realize(e, entries).size
+        assert all(valid(*args) for valid, _ in row.requires)
+        assert len(bad) == len(row.requires)
+        for bad_args, (_, message) in zip(bad, row.requires):
+            text = f"{row.head}({','.join(map(str, bad_args))})"
+            with pytest.raises(ExprParseError) as err:
+                parse_expr(text)
+            assert str(err.value) == f"{message.format(*bad_args)} (at offset 0)"
+        if row.spectrum is not None:
+            spectrum, primes, path = row.spectrum(*args)
+            assert spectrum == realize(e, entries).order_spectrum()
+            assert primes == exactmath.factorize(expr_order(e)).primes()
+            assert path == "closed_form"
+        if row.builder is None:
+            return
+        # builders are looked up on the module at each call, so a wrapper
+        # installed there (as a profiler installs one) sees every build
+        calls = []
+        real = getattr(fam, row.builder)
+
+        def counting(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(fam, row.builder, counting)
+        assert realize(e, entries).size == expr_order(e)
+        assert calls == [args]
 
 
 class TestExpr:
