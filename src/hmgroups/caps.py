@@ -13,6 +13,7 @@ LIMITS = {
     "table": 4096,         # order of a group whose multiplication table is built
     "subgroups": 200,      # order of a group whose subgroup lattice is enumerated
     "iso": 256,            # order of each group an isomorphism search compares
+    "factor_work": 4_000_000,  # Pollard rho steps spent factoring one number
 }
 
 
@@ -30,17 +31,23 @@ class CapExceeded(RuntimeError):
                  limit: int | None = None, requested: int | Huge | None = None,
                  subject: str = ""):
         if message is None:
-            # str() refuses integers of over 4300 digits: name a power of ten
-            # below a huge size instead, 10^k with k <= bits * log10(2)
-            bits = (requested.bits if isinstance(requested, Huge)
-                    else requested.bit_length() - 1)
-            size = (str(requested) if isinstance(requested, int) and requested < 10 ** 50
-                    else f"> 10^{bits * 3010299956 // 10 ** 10}")
             hint = ("; raise the cap or use a coprime product / closed-form expression"
                     if name == "enumeration" else "")
-            message = f"{subject} has order {size}, above the {name} cap {limit}{hint}"
+            message = (f"{subject} has order {size_text(requested)}, "
+                       f"above the {name} cap {limit}{hint}")
         super().__init__(message)
         self.name, self.limit, self.requested = name, limit, requested
+
+
+def size_text(size: int | Huge) -> str:
+    """`size` in full below 10^50, else as "> 10^k" with 10^k below it.
+
+    str() refuses integers of over 4300 digits, so a huge size is named by
+    a power of ten, 10^k with k <= bits * log10(2)."""
+    if isinstance(size, int) and size < 10 ** 50:
+        return str(size)
+    bits = size.bits if isinstance(size, Huge) else size.bit_length() - 1
+    return f"> 10^{bits * 3010299956 // 10 ** 10}"
 
 
 def check(name: str, requested: int | Huge, subject: str) -> None:

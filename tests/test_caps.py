@@ -3,7 +3,7 @@ import pytest
 from hmgroups import caps, groupkernel
 
 DEFAULTS = {"enumeration": 4096, "closure": 2_000_000, "table": 4096,
-            "subgroups": 200, "iso": 256}
+            "subgroups": 200, "iso": 256, "factor_work": 4_000_000}
 
 
 def test_defaults():

@@ -121,10 +121,10 @@ class TestParser:
         assert str(err.value) == message
 
 
-# Grammar tokens mixed with digits of other scripts, decimal or not.  At most
-# ten tokens, so a number literal has at most eight digits and the
-# trial-division primality test that E(p,k) runs while parsing ends at once;
-# larger primes are the unbudgeted trial division of ROADMAP item 3.
+# Grammar tokens mixed with digits of other scripts, decimal or not.  Up to
+# 40 tokens, so a literal can reach 38 digits: E(p,k) tests p for primality
+# while parsing, which answers below the exact Miller-Rabin bound (about
+# 3.3 * 10^24) and refuses, naming factor_work, at or above it.
 _FUZZ_TOKENS = ["C", "D", "Q", "SD", "E", "S", "Dic", "Cat", "SL23", "x", "X",
                 "(", ")", ",", "^", " ", "-", "0", "1", "2", "3", "7", "9",
                 "\u0663", "\u06f7", "\U0001d7d7", "\u00b2", "\u00b3", "\u00bd",
@@ -133,12 +133,14 @@ _FUZZ_TOKENS = ["C", "D", "Q", "SD", "E", "S", "Dic", "Cat", "SL23", "x", "X",
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(),
-                 st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=10).map("".join)))
+                 st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=40).map("".join)))
 def test_parse_expr_parses_or_refuses(text):
     try:
         expr = parse_expr(text)
     except ExprParseError as exc:
         assert "offset" in str(exc)
+    except caps.CapExceeded as exc:
+        assert exc.name == "factor_work"
     else:
         assert isinstance(expr, GroupExpr)
 
@@ -208,6 +210,13 @@ class TestStats:
         assert res.exit_code == 0
         assert "h_m: 403368/1" in res.output
         assert "path: multiplicative" in res.output
+
+    def test_large_prime(self, runner):
+        p = 10 ** 18 + 3
+        res = runner.invoke(main, ["stats", f"C({p})"])
+        assert res.exit_code == 0
+        assert f"h_m: {p * p}/{2 * p - 1} " in res.output
+        assert "Traceback" not in res.output
 
     def test_trivial(self, runner):
         res = runner.invoke(main, ["stats", "C(1)"])
@@ -284,6 +293,25 @@ class TestRefusals:
         res = runner.invoke(main, args)
         assert res.exit_code == 3
         assert f"above the {name} cap" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("args", [["stats", "E(1000000000000000003,1)"],
+                                      ["iso", "E(1000000000000000003,1)", "C(2)"]])
+    def test_large_prime_reaches_its_cap(self, runner, args):
+        # E(p,k) tests p while parsing; 10^18 + 3 is prime and answers at once
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert "E(1000000000000000003,1) has order 1000000000000000003" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("args", [["stats", "C(1000000000000000000000000000057)"],
+                                      ["stats", "E(1000000000000000000000000000057,1)"],
+                                      ["scan", "D(2000000000000000000000000000114)"]])
+    def test_above_the_miller_rabin_bound(self, runner, args):
+        # 10^30 + 57 is prime, and above the bound of exact primality testing
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert "(factor_work)" in res.output
         assert "Traceback" not in res.output
 
     def test_catalog_validate_refusal(self, runner, tmp_path):

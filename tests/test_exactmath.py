@@ -1,12 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmgroups import exactmath
-from hmgroups.exactmath import (SIEVE_BLOCK, divisors, euler_phi, factorize,
+from hmgroups import caps, exactmath
+from hmgroups.exactmath import (MR_BOUND, SIEVE_BLOCK, divisors, euler_phi, factorize,
                                 format_rational, is_integer, is_prime,
                                 m_cyclic_terms, phi_from_primes, rat,
                                 rational_decimal, smallest_prime_divisor)
@@ -158,6 +159,146 @@ class TestIsPrime:
         primes = [n for n in range(-3, 2000)
                   if n >= 2 and all(n % k for k in range(2, n))]
         assert [n for n in range(-3, 2000) if is_prime(n)] == primes
+
+
+# strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051)
+# two factors of 7-digit primes: the shape of the benchmark's huge inputs
+BALANCED = 1000003 * 3000017
+
+
+def chernick_carmichaels(count: int) -> list[int]:
+    """(6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael number."""
+    found = []
+    k = 0
+    while len(found) < count:
+        k += 1
+        parts = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(is_prime(p) for p in parts):
+            found.append(math.prod(parts))
+    return found
+
+
+class TestSingleValues:
+    """Miller-Rabin and Brent's rho above the trial-division range."""
+
+    def test_parts_multiply_back_and_are_prime(self):
+        rng = random.Random(15)
+        values = [rng.randrange(1, 10 ** 13) for _ in range(300)]
+        values += [BALANCED, 2 ** 61 - 1, (2 ** 31 - 1) ** 2, 1009 ** 3, 10 ** 18 + 3,
+                   *STRONG_PSEUDOPRIMES, *chernick_carmichaels(8)]
+        for n in values:
+            f = factorize(n)
+            assert f.value() == n
+            assert all(is_prime(p) and e >= 1 for p, e in f)
+            assert list(f.primes()) == sorted(f.primes())
+            if n > 1:
+                assert smallest_prime_divisor(n) == f.primes()[0]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        assert factorize(3215031751).pairs == ((151, 1), (751, 1), (28351, 1))
+        assert factorize(3825123056546413051).pairs == (
+            (149491, 1), (747451, 1), (34233211, 1))
+        assert not any(is_prime(n) for n in STRONG_PSEUDOPRIMES)
+
+    def test_large_primes(self):
+        assert is_prime(10 ** 18 + 3)
+        assert factorize(10 ** 18 + 3).pairs == ((10 ** 18 + 3, 1),)
+        assert smallest_prime_divisor(10 ** 18 + 3) == 10 ** 18 + 3
+        assert not is_prime(10 ** 18 + 1)
+
+    def test_small_divisor_without_the_cofactor(self):
+        # the cofactor is a prime above MR_BOUND, which is never tested
+        assert smallest_prime_divisor(7 * (10 ** 30 + 57)) == 7
+        assert not is_prime(7 * (10 ** 30 + 57))
+
+    def test_trial_division_strips_small_primes(self):
+        assert factorize(2 ** 100 * 1000003).pairs == ((2, 100), (1000003, 1))
+        assert factorize(2 ** 7142).pairs == ((2, 7142),)
+
+    def test_balanced_semiprime_at_the_default_cap(self):
+        assert factorize(BALANCED).pairs == ((1000003, 1), (3000017, 1))
+        assert smallest_prime_divisor(BALANCED) == 1000003
+
+    @pytest.mark.parametrize("call", [factorize, smallest_prime_divisor])
+    def test_balanced_semiprime_past_a_small_cap(self, call):
+        with caps.override(factor_work=100):
+            with pytest.raises(caps.CapExceeded) as err:
+                call(BALANCED)
+        assert err.value.name == "factor_work"
+        assert err.value.limit == 100
+        assert str(err.value) == (f"cannot factor {BALANCED} within the factor_work "
+                                  "cap of 100 rho steps")
+        assert factorize(BALANCED).value() == BALANCED  # the cap is restored
+
+    @pytest.mark.parametrize("call", [is_prime, factorize, smallest_prime_divisor])
+    def test_above_the_miller_rabin_bound_refuses(self, call):
+        with pytest.raises(caps.CapExceeded) as err:
+            call(10 ** 30 + 57)
+        assert err.value.name == "factor_work"
+        assert str(err.value) == (
+            f"cannot decide whether {10 ** 30 + 57} is prime: it is not below "
+            f"{MR_BOUND}, the bound of exact Miller-Rabin (factor_work)")
+
+    def test_the_bound_itself_refuses(self):
+        # MR_BOUND is a strong pseudoprime to every base 2..41
+        with pytest.raises(caps.CapExceeded):
+            is_prime(MR_BOUND)
+
+    def test_huge_cofactor_is_named_by_a_power_of_ten(self):
+        with pytest.raises(caps.CapExceeded) as err:
+            factorize(2 * (10 ** 60 + 7))
+        # the cofactor 10^60 + 7 has 200 bits, and 10^59 < 2^199
+        assert str(err.value).startswith("cannot decide whether > 10^59, a divisor "
+                                         "of > 10^60, is prime")
+
+
+class TestAgainstSympy:
+    """factorize and is_prime against sympy, an independent implementation."""
+
+    @pytest.fixture(scope="class")
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def agree(sympy, values):
+        for n in values:
+            assert factorize(n).pairs == tuple(sorted(sympy.factorint(n).items())), n
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_every_n_to_200000(self, sympy):
+        self.agree(sympy, range(1, 200_001))
+
+    def test_random_below_10_13(self, sympy):
+        rng = random.Random(2015)
+        self.agree(sympy, [rng.randrange(1, 10 ** 13) for _ in range(2000)])
+
+    def test_balanced_semiprimes(self, sympy):
+        rng = random.Random(1980)
+        values = []
+        for _ in range(200):
+            p = sympy.nextprime(rng.randrange(10 ** 6, 3 * 10 ** 6))
+            values.append(p * sympy.nextprime(p + rng.randrange(1, 10 ** 5)))
+        self.agree(sympy, values)
+
+    def test_prime_squares_and_cubes(self, sympy):
+        primes = [1009, 1013, 65537, 1000003, 2 ** 31 - 1, 10 ** 9 + 7]
+        self.agree(sympy, [p ** k for p in primes for k in (2, 3) if p ** k < MR_BOUND])
+
+    def test_pseudoprimes_and_carmichael_numbers(self, sympy):
+        carmichaels = chernick_carmichaels(12) + [561, 1105, 1729, 2465, 2821, 6601,
+                                                  8911, 41041, 825265, 321197185]
+        for n in carmichaels:  # Korselt: squarefree, and p - 1 divides n - 1
+            assert all(e == 1 and (n - 1) % (p - 1) == 0
+                       for p, e in sympy.factorint(n).items())
+        self.agree(sympy, [*STRONG_PSEUDOPRIMES, *carmichaels])
+
+    def test_just_below_the_bound(self, sympy):
+        values = range(MR_BOUND - 3000, MR_BOUND)
+        primes = [n for n in values if sympy.isprime(n)]
+        assert len(primes) >= 10
+        assert [n for n in values if is_prime(n)] == primes
+        self.agree(sympy, primes)
 
 
 class TestMCyclicTerms:
