@@ -56,9 +56,8 @@ def _number_too_large(offset: int) -> ExprParseError:
         offset)
 
 
-# per atom head: the expression class, its number of fields and its requirements
-_ATOM_HEADS = {row.head: (cls, len(dataclasses.fields(cls)), row.requires)
-               for cls, row in ATOMS.items()}
+# per atom head: the expression class and its number of fields
+_ATOM_HEADS = {row.head: (cls, len(dataclasses.fields(cls))) for cls, row in ATOMS.items()}
 # longest match first so "SL23x" lexes as SL23 then the product operator
 _TOKEN_HEADS = tuple(sorted([*_ATOM_HEADS, "x"], key=len, reverse=True))
 
@@ -169,12 +168,12 @@ class _Parser:
         if head not in _ATOM_HEADS:
             raise ExprParseError(f"unknown group name {head!r}", offset)
         self.pos += 1
-        make, count, requirements = _ATOM_HEADS[head]
+        make, count = _ATOM_HEADS[head]
         args = self.parse_args(count) if count else []
-        for valid, message in requirements:
-            if not valid(*args):
-                raise ExprParseError(message.format(*args), offset)
-        return make(*args)
+        try:
+            return make(*args)  # the atom checks its own rule
+        except ValueError as exc:
+            raise ExprParseError(str(exc), offset) from None
 
 
 def parse_expr(text: str) -> GroupExpr:

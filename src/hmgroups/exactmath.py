@@ -70,7 +70,8 @@ _TRIAL_DECIDES = TRIAL_LIMIT ** 2
 _WHEEL = tuple((p, p * p) for p in (2, 3, *(f + d for f in range(5, TRIAL_LIMIT, 6)
                                             for d in (0, 2))))
 # Miller-Rabin with the primes 2..41 as bases is exact below this bound
-# (Sorenson & Webster 2015); above it, primality is refused, never guessed.
+# (Sorenson & Webster 2015); above it, primality is refused, never guessed,
+# unless a base is a witness that the number is composite.
 MR_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -79,7 +80,7 @@ def is_prime(n: int) -> bool:
     """Exact primality: trial division below TRIAL_LIMIT, then Miller-Rabin.
 
     Raises CapExceeded (factor_work) for an n of at least MR_BOUND with no
-    divisor below TRIAL_LIMIT."""
+    divisor below TRIAL_LIMIT and no Miller-Rabin witness (see _miller_rabin)."""
     if n < 2 or _small_divisor(n):
         return False
     return n < _TRIAL_DECIDES or _miller_rabin(n, n)
@@ -90,12 +91,12 @@ def factorize(n: int) -> Factorization:
 
     Trial division below TRIAL_LIMIT, then Miller-Rabin and Brent's rho on
     what is left, at one unit of the factor_work cap per rho step.  A
-    cofactor of at least MR_BOUND, or one that exhausts the cap, raises
-    CapExceeded.  Rho needs about sqrt(p) steps to find a prime factor p, so
-    the default cap (4,000,000 steps, about 2 s) factors in practice any
-    n < MR_BOUND whose second largest prime factor is below about 10^11, which
-    includes every n below 10^22.  Balanced semiprimes below 10^13 take under
-    10^4 steps."""
+    cofactor of at least MR_BOUND that Miller-Rabin cannot prove composite,
+    or one that exhausts the cap, raises CapExceeded.  Rho needs about
+    sqrt(p) steps to find a prime factor p, so the default cap (4,000,000
+    steps, about 2 s) factors in practice any n < MR_BOUND whose second
+    largest prime factor is below about 10^11, which includes every n below
+    10^22.  Balanced semiprimes below 10^13 take under 10^4 steps."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need n >= 1")
     pairs = []
@@ -154,27 +155,32 @@ def _large_primes(m: int, n: int) -> list[int]:
 
 
 def _miller_rabin(m: int, n: int) -> bool:
-    """Whether m, a divisor of n with no divisor below TRIAL_LIMIT, is prime;
-    refused (factor_work) if m is at least MR_BOUND."""
-    if m >= MR_BOUND:
-        of = "" if m == n else f", a divisor of {caps.size_text(n)},"
-        raise caps.CapExceeded(
-            f"cannot decide whether {caps.size_text(m)}{of} is prime: it is not below "
-            f"{MR_BOUND}, the bound of exact Miller-Rabin (factor_work)",
-            name="factor_work", limit=caps.LIMITS["factor_work"], requested=n)
-    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s, d odd
-    d = (m - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether m, a divisor of n with no divisor below TRIAL_LIMIT, is prime.
+    A witness among the bases proves m composite; with none, m is prime below
+    MR_BOUND and refused (factor_work) at or above it."""
+    # Witnesses are sought, and rho may split m, only up to twice the bits of
+    # MR_BOUND, where the factor_work cap of rho steps still takes about 2 s;
+    # a larger m is refused at once.
+    if m.bit_length() <= 2 * MR_BOUND.bit_length():
+        s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s, d odd
+        d = (m - 1) >> s
+        for a in _MR_BASES:
+            x = pow(a, d, m)
+            if x == 1 or x == m - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        if m < MR_BOUND:
+            return True
+    of = "" if m == n else f", a divisor of {caps.size_text(n)},"
+    raise caps.CapExceeded(
+        f"cannot decide whether {caps.size_text(m)}{of} is prime: it is not below "
+        f"{MR_BOUND}, the bound of exact Miller-Rabin (factor_work)",
+        name="factor_work", limit=caps.LIMITS["factor_work"], requested=n)
 
 
 class _Budget:

@@ -1,9 +1,11 @@
-"""Constructors for the named group families.
+"""Constructors for the named group families, and the rule of each.
 
 Each constructor emits permutation generators and hands them to the
 kernel, so all families share one closure/enumeration path.  Dicyclic,
 generalized quaternion and semidihedral groups are realized through the
-left-regular action on their a^i b^j normal forms.
+left-regular action on their a^i b^j normal forms.  Each family's rule is
+stated once, as a check raising ValueError in the grammar's notation; the
+constructors, the expression classes of `statistics` and the parser read it.
 """
 
 from __future__ import annotations
@@ -13,26 +15,52 @@ from .exactmath import is_prime
 from .groupkernel import Group
 
 
-def _power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def check_cyclic(n: int) -> None:
+    if n < 1:
+        raise ValueError("C(n) needs n >= 1")
+
+
+def dihedral_n(two_n: int) -> int:
+    """n for the dihedral group of order 2n, an even order of at least 2."""
+    if two_n < 2 or two_n % 2 != 0:
+        raise ValueError(f"D(n) needs an even order >= 2, got {two_n}")
+    return two_n // 2
+
+
+def check_generalized_quaternion(order: int) -> None:
+    if order < 8 or order & (order - 1):
+        raise ValueError(f"Q(n) needs a power of two >= 8, got {order}")
+
+
+def check_semidihedral(order: int) -> None:
+    if order < 16 or order & (order - 1):
+        raise ValueError(f"SD(n) needs a power of two >= 16, got {order}")
+
+
+def check_elementary_abelian(p: int, k: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"E(p,k) needs p prime, got {p}")
+    if k < 1:
+        raise ValueError(f"E(p,k) needs k >= 1, got {k}")
+
+
+def check_symmetric(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"S(n) needs n >= 1, got {n}")
+
+
+def check_dicyclic(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"Dic(n) needs n >= 2, got {n}")
 
 
 def cyclic(n: int) -> Group:
     """Cyclic group of order n as the closure of one n-cycle."""
-    if n < 1:
-        raise ValueError(f"cyclic order must be >= 1, got {n}")
+    check_cyclic(n)
     if n == 1:
         return Group.from_generators(1, [], label="C1")
     gen = tuple(list(range(1, n)) + [0])
     return Group.from_generators(n, [gen], label=f"C{n}")
-
-
-def dihedral_n(two_n: int) -> int:
-    """n for the dihedral group of order 2n; ValueError unless the order
-    is even and at least 2."""
-    if two_n < 2 or two_n % 2 != 0:
-        raise ValueError(f"dihedral order must be even and >= 2, got {two_n}")
-    return two_n // 2
 
 
 def dihedral(two_n: int) -> Group:
@@ -50,73 +78,52 @@ def dihedral(two_n: int) -> Group:
 
 
 def dicyclic(n: int) -> Group:
-    """Dicyclic group of order 4n: <a, b | a^(2n) = 1, b^2 = a^n, bab^-1 = a^-1>.
-
-    Realized by left multiplication on the 4n normal forms a^i b^j.
-    """
-    if n < 2:
-        raise ValueError(f"dicyclic parameter must be >= 2, got {n}")
+    """Dicyclic group of order 4n: <a, b | a^(2n) = 1, b^2 = a^n, bab^-1 = a^-1>."""
+    check_dicyclic(n)
     return _dicyclic(n, f"Dic{n}")
 
 
 def _dicyclic(n: int, label: str) -> Group:
     """dicyclic(n) under `label`, the name its closure cap reports."""
-    big_n = 2 * n
     caps.check("closure", 4 * n, label)
+    # b a^i = a^-i b, and b a^i b = a^(n-i) as b^2 = a^n
+    return _on_normal_forms(2 * n, lambda i, j: (n - i, 0) if j else (-i, 1), label)
 
+
+def _on_normal_forms(m: int, b_image, label: str) -> Group:
+    """The group <a, b> of order 2m by left multiplication on its normal
+    forms a^i b^j (i mod m, j = 0, 1): a takes a^i b^j to a^(i+1) b^j, and
+    b takes it to a^i' b^j' for (i', j') = b_image(i, j)."""
     def idx(i: int, j: int) -> int:
-        return 2 * (i % big_n) + j
+        return 2 * (i % m) + j
 
-    # a . a^i b^j = a^(i+1) b^j;  b . a^i b^j = a^(n? ...) handled by cases
-    perm_a = [0] * (4 * n)
-    perm_b = [0] * (4 * n)
-    for i in range(big_n):
+    perm_a = [0] * (2 * m)
+    perm_b = [0] * (2 * m)
+    for i in range(m):
         for j in range(2):
             perm_a[idx(i, j)] = idx(i + 1, j)
-            if j == 0:
-                perm_b[idx(i, j)] = idx(-i, 1)
-            else:
-                perm_b[idx(i, j)] = idx(n - i, 0)
-    return Group.from_generators(4 * n, [tuple(perm_a), tuple(perm_b)], label=label)
+            perm_b[idx(i, j)] = idx(*b_image(i, j))
+    return Group.from_generators(2 * m, [tuple(perm_a), tuple(perm_b)], label=label)
 
 
 def generalized_quaternion(two_pow_n: int) -> Group:
     """Generalized quaternion group of order 2^n, n >= 3."""
-    if not _power_of_two(two_pow_n) or two_pow_n < 8:
-        raise ValueError(
-            f"generalized quaternion order must be a power of two >= 8, got {two_pow_n}")
+    check_generalized_quaternion(two_pow_n)
     return _dicyclic(two_pow_n // 4, f"Q{two_pow_n}")
 
 
 def semidihedral(two_pow_n: int) -> Group:
     """Semidihedral group of order 2^n, n >= 4:
-    <a, b | a^(2^(n-1)) = b^2 = 1, bab^-1 = a^(2^(n-2) - 1)>.
-    """
-    if not _power_of_two(two_pow_n) or two_pow_n < 16:
-        raise ValueError(
-            f"semidihedral order must be a power of two >= 16, got {two_pow_n}")
-    m = two_pow_n // 2
-    t = m // 2 - 1
-
-    def idx(i: int, j: int) -> int:
-        return 2 * (i % m) + j
-
-    perm_a = [0] * two_pow_n
-    perm_b = [0] * two_pow_n
-    for i in range(m):
-        for j in range(2):
-            perm_a[idx(i, j)] = idx(i + 1, j)
-            perm_b[idx(i, j)] = idx(t * i, 1 - j)
-    return Group.from_generators(two_pow_n, [tuple(perm_a), tuple(perm_b)],
-                                 label=f"SD{two_pow_n}")
+    <a, b | a^(2^(n-1)) = b^2 = 1, bab^-1 = a^(2^(n-2) - 1)>."""
+    check_semidihedral(two_pow_n)
+    t = two_pow_n // 4 - 1  # b a^i = a^(ti) b
+    return _on_normal_forms(two_pow_n // 2, lambda i, j: (t * i, 1 - j),
+                            f"SD{two_pow_n}")
 
 
 def elementary_abelian(p: int, k: int) -> Group:
     """C_p^k: k commuting p-cycles on disjoint blocks."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError(f"rank must be >= 1, got {k}")
+    check_elementary_abelian(p, k)
     label = f"C{p}^{k}"
     caps.check("closure", p ** k, label)
     degree = p * k
@@ -132,8 +139,7 @@ def elementary_abelian(p: int, k: int) -> Group:
 
 def symmetric(n: int) -> Group:
     """Symmetric group on n points."""
-    if n < 1:
-        raise ValueError(f"symmetric degree must be >= 1, got {n}")
+    check_symmetric(n)
     lbl = f"S{n}"
     if n == 1:
         return Group.from_generators(1, [], label=lbl)

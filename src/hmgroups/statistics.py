@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import caps
 from . import catalog as catalog_mod
 from . import families
-from .exactmath import (Rational, factorize, format_rational, is_integer, is_prime,
+from .exactmath import (Rational, factorize, format_rational, is_integer,
                         phi_from_primes, rational_decimal, smallest_prime_divisor)
 from .groupkernel import Group, OrderSpectrum, direct_product
 
@@ -99,49 +99,58 @@ def weak_bound(order: int) -> Rational:
 # -- symbolic group expressions ----------------------------------------------
 
 
+class _Atom:
+    """An atom checks its ATOMS row's rule when made: each names a group."""
+
+    def __post_init__(self):
+        check = ATOMS[type(self)].check
+        if check is not None:
+            check(*vars(self).values())
+
+
 @dataclass(frozen=True)
-class Cyclic:
+class Cyclic(_Atom):
     n: int
 
 
 @dataclass(frozen=True)
-class Dihedral:
+class Dihedral(_Atom):
     order: int  # 2n
 
 
 @dataclass(frozen=True)
-class GenQuaternion:
+class GenQuaternion(_Atom):
     order: int
 
 
 @dataclass(frozen=True)
-class SemiDihedral:
+class SemiDihedral(_Atom):
     order: int
 
 
 @dataclass(frozen=True)
-class ElemAbelian:
+class ElemAbelian(_Atom):
     p: int
     k: int
 
 
 @dataclass(frozen=True)
-class Symmetric:
+class Symmetric(_Atom):
     n: int
 
 
 @dataclass(frozen=True)
-class SL23:
+class SL23(_Atom):
     pass
 
 
 @dataclass(frozen=True)
-class Dicyclic:
+class Dicyclic(_Atom):
     n: int
 
 
 @dataclass(frozen=True)
-class CatalogRef:
+class CatalogRef(_Atom):
     order: int
     id: int
 
@@ -192,45 +201,42 @@ def _dihedral_form(two_n: int):
     return _closed_form(n, reflections=n)
 
 
+def _check_catalog_ref(order: int, gid: int) -> None:
+    if order < 1 or gid < 1:
+        raise ValueError("Cat(order,id) needs positive arguments")
+
+
 class Atom(NamedTuple):
     """One atom of the expression grammar; each function takes its fields in
     order.  `builder` names the families constructor, looked up at each call
     so that a wrapper installed on the module sees it (None: the catalog).
-    `requires` pairs the parser's tests with their messages."""
+    `check`, run when an atom is made, raises the parser's ValueError."""
     head: str
     order: Callable[..., int | caps.Huge]  # or a lower bound, if too large to build
     builder: str | None
     spectrum: Callable[..., tuple] | None  # (spectrum, primes, path), no enumeration
-    requires: tuple[tuple[Callable[..., bool], str], ...] = ()
+    check: Callable[..., object] | None = None
 
 
 # Every named atom, keyed by its expression class: the one place an atom is
-# defined for parsing, order, text, building and closed-form spectra.
+# defined for parsing, order, text, building and closed-form spectra.  `check`
+# is the family's rule from `families` (Cat's own here), run on every atom made.
 ATOMS: dict[type, Atom] = {
-    Cyclic: Atom("C", lambda n: n, "cyclic", _closed_form,
-                 ((lambda n: n >= 1, "C(n) needs n >= 1"),)),
+    Cyclic: Atom("C", lambda n: n, "cyclic", _closed_form, families.check_cyclic),
     Dihedral: Atom("D", lambda order: order, "dihedral", _dihedral_form,
-                   ((lambda n: n >= 2 and n % 2 == 0,
-                     "D(n) needs an even order >= 2, got {0}"),)),
+                   families.dihedral_n),
     GenQuaternion: Atom("Q", lambda order: order, "generalized_quaternion", None,
-                        ((lambda n: n >= 8 and not n & (n - 1),
-                          "Q(n) needs a power of two >= 8, got {0}"),)),
+                        families.check_generalized_quaternion),
     SemiDihedral: Atom("SD", lambda order: order, "semidihedral", None,
-                       ((lambda n: n >= 16 and not n & (n - 1),
-                         "SD(n) needs a power of two >= 16, got {0}"),)),
+                       families.check_semidihedral),
     ElemAbelian: Atom("E", lambda p, k: _huge(k * (p.bit_length() - 1)) or p ** k,
-                      "elementary_abelian", None,
-                      ((lambda p, k: is_prime(p), "E(p,k) needs p prime, got {0}"),
-                       (lambda p, k: k >= 1, "E(p,k) needs k >= 1, got {1}"))),
+                      "elementary_abelian", None, families.check_elementary_abelian),
     Symmetric: Atom("S", lambda n: (_huge((n + 1) // 2 * ((n // 2).bit_length() - 1))
                                     or math.factorial(n)),
-                    "symmetric", None, ((lambda n: n >= 1, "S(n) needs n >= 1, got {0}"),)),
+                    "symmetric", None, families.check_symmetric),
     SL23: Atom("SL23", lambda: 24, "sl23", None),
-    Dicyclic: Atom("Dic", lambda n: 4 * n, "dicyclic", None,
-                   ((lambda n: n >= 2, "Dic(n) needs n >= 2, got {0}"),)),
-    CatalogRef: Atom("Cat", lambda order, gid: order, None, None,
-                     ((lambda order, gid: order >= 1 and gid >= 1,
-                       "Cat(order,id) needs positive arguments"),)),
+    Dicyclic: Atom("Dic", lambda n: 4 * n, "dicyclic", None, families.check_dicyclic),
+    CatalogRef: Atom("Cat", lambda order, gid: order, None, None, _check_catalog_ref),
 }
 
 

@@ -124,7 +124,8 @@ class TestParser:
 # Grammar tokens mixed with digits of other scripts, decimal or not.  Up to
 # 40 tokens, so a literal can reach 38 digits: E(p,k) tests p for primality
 # while parsing, which answers below the exact Miller-Rabin bound (about
-# 3.3 * 10^24) and refuses, naming factor_work, at or above it.
+# 3.3 * 10^24) and, at or above it, answers "composite" on a witness and
+# refuses, naming factor_work, without one.
 _FUZZ_TOKENS = ["C", "D", "Q", "SD", "E", "S", "Dic", "Cat", "SL23", "x", "X",
                 "(", ")", ",", "^", " ", "-", "0", "1", "2", "3", "7", "9",
                 "\u0663", "\u06f7", "\U0001d7d7", "\u00b2", "\u00b3", "\u00bd",
@@ -312,6 +313,13 @@ class TestRefusals:
         res = runner.invoke(main, args)
         assert res.exit_code == 3
         assert "(factor_work)" in res.output
+        assert "Traceback" not in res.output
+
+    def test_composite_above_the_miller_rabin_bound(self, runner):
+        # p = 10000000000037 * 10000001000029: a witness proves it composite
+        res = runner.invoke(main, ["stats", "E(100000010000660000037001073,1)"])
+        assert res.exit_code == 2
+        assert "E(p,k) needs p prime, got 100000010000660000037001073" in res.output
         assert "Traceback" not in res.output
 
     def test_catalog_validate_refusal(self, runner, tmp_path):

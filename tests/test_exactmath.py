@@ -165,6 +165,7 @@ class TestIsPrime:
 STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051)
 # two factors of 7-digit primes: the shape of the benchmark's huge inputs
 BALANCED = 1000003 * 3000017
+TWO_PRIMES_NEAR_10_13 = 10000000000037 * 10000001000029
 
 
 def chernick_carmichaels(count: int) -> list[int]:
@@ -244,6 +245,42 @@ class TestSingleValues:
         # MR_BOUND is a strong pseudoprime to every base 2..41
         with pytest.raises(caps.CapExceeded):
             is_prime(MR_BOUND)
+
+    def test_witness_decides_above_the_bound(self):
+        # a product of two primes near 10^13; base 2 is a witness
+        assert not is_prime(TWO_PRIMES_NEAR_10_13)
+        assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))  # 150 bits
+        assert MR_BOUND < TWO_PRIMES_NEAR_10_13 < (2 ** 61 - 1) * (2 ** 89 - 1)
+
+    def test_composite_above_the_bound_goes_to_rho(self):
+        n = BALANCED * (10 ** 18 + 3)
+        assert n > MR_BOUND
+        f = factorize(n)
+        assert f.pairs == ((1000003, 1), (3000017, 1), (10 ** 18 + 3, 1))
+        assert all(is_prime(p) for p in f.primes())
+        assert smallest_prime_divisor(n) == 1000003
+        with caps.override(factor_work=100):
+            with pytest.raises(caps.CapExceeded) as err:
+                factorize(TWO_PRIMES_NEAR_10_13)
+        assert str(err.value) == (f"cannot factor {TWO_PRIMES_NEAR_10_13} within "
+                                  "the factor_work cap of 100 rho steps")
+
+    def test_prime_part_above_the_bound_refuses(self):
+        # rho splits off 1009, and the cofactor 10^30 + 57 has no witness
+        with pytest.raises(caps.CapExceeded) as err:
+            factorize(1009 * (10 ** 30 + 57))
+        assert str(err.value).startswith(
+            f"cannot decide whether {10 ** 30 + 57}, a divisor of "
+            f"{1009 * (10 ** 30 + 57)}, is prime")
+
+    def test_no_witness_search_past_twice_the_bound_bits(self):
+        # rho steps on 399 bits cost too much for the cap to bound time, so
+        # this composite is refused as a prime would be
+        n = (10 ** 60 + 7) ** 2
+        assert n.bit_length() > 2 * MR_BOUND.bit_length()
+        with pytest.raises(caps.CapExceeded) as err:
+            is_prime(n)
+        assert str(err.value).startswith("cannot decide whether > 10^")
 
     def test_huge_cofactor_is_named_by_a_power_of_ten(self):
         with pytest.raises(caps.CapExceeded) as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import typing
@@ -115,8 +116,8 @@ class TestBounds:
             weak_bound(1)
 
 
-# per atom class: a small instance, then for each requirement of its row, in
-# order, arguments that fail it and pass the requirements before it
+# per atom class: a small instance, then for each clause of its rule, in
+# order, arguments that fail it and pass the clauses before it
 ATOM_CASES = {
     Cyclic: (Cyclic(6), [(0,)]),
     Dihedral: (Dihedral(12), [(7,)]),
@@ -145,13 +146,15 @@ class TestAtomTable:
         args = tuple(vars(e).values())
         assert parse_expr(expr_text(e)) == e
         assert expr_order(e) == row.order(*args) == realize(e, entries).size
-        assert all(valid(*args) for valid, _ in row.requires)
-        assert len(bad) == len(row.requires)
-        for bad_args, (_, message) in zip(bad, row.requires):
-            text = f"{row.head}({','.join(map(str, bad_args))})"
+        assert (row.check is None) == (not bad)
+        if row.check is not None:
+            row.check(*args)
+        for bad_args in bad:
+            with pytest.raises(ValueError) as rule:
+                row.check(*bad_args)
             with pytest.raises(ExprParseError) as err:
-                parse_expr(text)
-            assert str(err.value) == f"{message.format(*bad_args)} (at offset 0)"
+                parse_expr(f"{row.head}({','.join(map(str, bad_args))})")
+            assert str(err.value) == f"{rule.value} (at offset 0)"
         if row.spectrum is not None:
             spectrum, primes, path = row.spectrum(*args)
             assert spectrum == realize(e, entries).order_spectrum()
@@ -171,6 +174,64 @@ class TestAtomTable:
         monkeypatch.setattr(fam, row.builder, counting)
         assert realize(e, entries).size == expr_order(e)
         assert calls == [args]
+
+
+# the messages of the parser (test_cli's test_requirement_messages), raised
+# alike by the expression classes and the families constructors
+@pytest.mark.parametrize("cls, builder, args, message", [
+    (Cyclic, "cyclic", (0,), "C(n) needs n >= 1"),
+    (Dihedral, "dihedral", (7,), "D(n) needs an even order >= 2, got 7"),
+    (GenQuaternion, "generalized_quaternion", (12,),
+     "Q(n) needs a power of two >= 8, got 12"),
+    (SemiDihedral, "semidihedral", (8,), "SD(n) needs a power of two >= 16, got 8"),
+    (ElemAbelian, "elementary_abelian", (4, 1), "E(p,k) needs p prime, got 4"),
+    (ElemAbelian, "elementary_abelian", (2, 0), "E(p,k) needs k >= 1, got 0"),
+    (Symmetric, "symmetric", (0,), "S(n) needs n >= 1, got 0"),
+    (Dicyclic, "dicyclic", (1,), "Dic(n) needs n >= 2, got 1"),
+    (CatalogRef, None, (4, 0), "Cat(order,id) needs positive arguments"),
+])
+def test_library_messages(cls, builder, args, message):
+    makers = [cls] if builder is None else [cls, getattr(fam, builder)]
+    for make in makers:
+        with pytest.raises(ValueError) as err:
+            make(*args)
+        assert str(err.value) == message
+
+
+# arguments at the edges of every rule: 0..3, odd and even values, and powers
+# of two and their neighbours
+_EDGE_ARGS = st.one_of(
+    st.sampled_from([0, 1, 2, 3]),
+    st.integers(2, 5000).map(lambda n: 2 * n + 1),
+    st.integers(2, 5000).map(lambda n: 2 * n),
+    st.builds(lambda k, d: 2 ** k + d, st.integers(1, 14), st.sampled_from([-1, 0, 1])))
+
+
+def _outcome(make, *args) -> str | None:
+    """None if make(*args) accepts its arguments, else the ValueError text."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(statistics.ATOMS)), st.data())
+def test_every_route_applies_the_same_rule(cls, data):
+    # the parser, the expression class, the families constructor (on orders up
+    # to 64) and the closed-form spectrum accept exactly the same arguments
+    row = statistics.ATOMS[cls]
+    args = tuple(data.draw(_EDGE_ARGS) for _ in dataclasses.fields(cls))
+    made = _outcome(cls, *args)
+    text = f"{row.head}({','.join(map(str, args))})" if args else row.head
+    parsed = _outcome(parse_expr, text)
+    assert parsed == (None if made is None else f"{made} (at offset 0)")
+    order = row.order(*args)
+    if row.builder is not None and isinstance(order, int) and order <= 64:
+        assert _outcome(getattr(fam, row.builder), *args) == made
+    if row.spectrum is not None:
+        assert (_outcome(row.spectrum, *args) is None) == (made is None)
 
 
 class TestExpr:
@@ -234,10 +295,11 @@ class TestEvalExpr:
         assert dict(rep.spectrum.entries) == {1: 1, 2: 5, 4: 2}
 
     def test_odd_dihedral_order_rejected(self):
-        # the closed form keeps the rule of families.dihedral: D(7) is no group
-        for e in (Dihedral(7), Product((Dihedral(7), Cyclic(5)))):
-            with pytest.raises(ValueError, match="dihedral order must be even"):
-                eval_expr(e)
+        # D(7) is no group: the atom checks the rule of families.dihedral_n
+        # when it is made, so no expression holds it
+        for make in (lambda: Dihedral(7), lambda: Product((Dihedral(7), Cyclic(5)))):
+            with pytest.raises(ValueError, match=r"^D\(n\) needs an even order >= 2, got 7$"):
+                eval_expr(make())
 
     def test_dihedral_closed_form_matches_enumeration(self):
         for order in (4, 6, 8, 12, 20, 30):
