@@ -39,6 +39,10 @@ class MissingEntry(KeyError):
         return str(self.args[0])
 
 
+class InvalidEntry(ValueError):
+    """A catalog entry whose generators name no group of its declared order."""
+
+
 class CatalogFormatError(ValueError):
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -55,9 +59,21 @@ class CatalogEntry:
     degree: int
     gens: tuple[tuple[int, ...], ...]
 
+    @property
+    def ref(self) -> str:
+        """The entry as validate_catalog names it: (order,id) name."""
+        return f"({self.order},{self.id}) {self.name}"
+
     @cached_property
     def _group(self) -> Group:
-        return Group.from_generators(self.degree, self.gens, label=self.name)
+        try:
+            grp = Group.from_generators(self.degree, self.gens, label=self.name)
+        except ValueError as exc:  # a generator that is not a permutation
+            raise InvalidEntry(f"{self.ref}: {exc}") from None
+        if grp.size != self.order:
+            raise InvalidEntry(f"{self.ref}: closure has {grp.size} elements, "
+                               f"declared order is {self.order}")
+        return grp
 
     def group(self) -> Group:
         return self._group
@@ -185,28 +201,21 @@ def validate_catalog(entries: list[CatalogEntry]) -> ValidationReport:
     findings: list[str] = []
     groups: dict[tuple[int, int], Group] = {}
     for e in entries:
-        bad_gen = False
-        for k, g in enumerate(e.gens):
-            if not is_permutation(g, e.degree):
-                findings.append(
-                    f"({e.order},{e.id}) {e.name}: generator {k} is not a "
-                    f"permutation of 0..{e.degree - 1}")
-                bad_gen = True
-        if bad_gen:
+        bad_gens = [f"{e.ref}: generator {k} is not a permutation of 0..{e.degree - 1}"
+                    for k, g in enumerate(e.gens) if not is_permutation(g, e.degree)]
+        findings += bad_gens
+        if bad_gens:
             continue
         try:
             grp = e.group()
-        except CapExceeded as exc:
-            findings.append(f"({e.order},{e.id}) {e.name}: {exc}")
+        except InvalidEntry as exc:  # the closure has another order
+            findings.append(str(exc))
             continue
-        if grp.size != e.order:
-            findings.append(
-                f"({e.order},{e.id}) {e.name}: closure has {grp.size} elements, "
-                f"declared order is {e.order}")
+        except CapExceeded as exc:
+            findings.append(f"{e.ref}: {exc}")
             continue
         problems = grp.validate()
-        for p in problems:
-            findings.append(f"({e.order},{e.id}) {e.name}: {p}")
+        findings += [f"{e.ref}: {p}" for p in problems]
         if not problems:
             groups[(e.order, e.id)] = grp
     by_order: dict[int, list[tuple[int, Group, str]]] = {}

@@ -26,7 +26,7 @@ from fractions import Fraction
 import click
 
 from . import caps
-from .catalog import (CatalogFormatError, MissingEntry, default_catalog,
+from .catalog import (CatalogFormatError, InvalidEntry, MissingEntry, default_catalog,
                       load_catalog_file, validate_catalog)
 from .exactmath import format_rational, rational_decimal
 from .groupkernel import is_isomorphic
@@ -189,8 +189,8 @@ class ResourceError(click.ClickException):
 
 
 class _Command(click.Command):
-    """Every command reports a refusal as exit 3 and a missing catalog entry
-    as a usage error."""
+    """Every command reports a refusal as exit 3, and a missing catalog entry
+    or one that names no group of its declared order as a usage error."""
 
     def invoke(self, ctx):
         try:
@@ -199,6 +199,8 @@ class _Command(click.Command):
             raise ResourceError(str(exc))
         except MissingEntry as exc:
             raise click.UsageError(str(exc), ctx)
+        except InvalidEntry as exc:
+            raise click.UsageError(f"invalid catalog entry {exc}", ctx)
 
 
 class _Commands(click.Group):
@@ -239,7 +241,7 @@ def _echo_header(state: CliState):
 @click.option("--digits", type=click.IntRange(0, 50), default=6, show_default=True,
               help="Decimal display precision (display only; math is exact).")
 @click.option("--caps", "enumeration", type=click.IntRange(1), default=None,
-              help="Override the enumeration limit (stats, scan, iso).")
+              help="Override the enumeration limit (stats, scan, iso, verify).")
 @click.option("--timestamp", is_flag=True, default=False,
               help="Prepend a timestamp line to reports.")
 @click.version_option(package_name="hmgroups", prog_name="hm")

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 
-from . import families
 from .catalog import CATALOG_EXHAUSTIVE_LIMIT, CatalogEntry, missing_orders
 from .exactmath import (euler_phi, factorize, format_rational, is_integer,
                         m_cyclic_terms, rational_decimal)
 from .groupkernel import Group, OrderSpectrum, direct_product, is_isomorphic
-from .statistics import (eval_expr, h_m_of, h_m_pgroup_closed, lemma_bound,
-                         m_of, m_of_spectrum, weak_bound)
+from .statistics import (Cyclic, Dicyclic, Dihedral, ElemAbelian, GenQuaternion,
+                         SemiDihedral, Symmetric, eval_expr, h_m_of, h_m_pgroup_closed,
+                         lemma_bound, m_of, m_of_spectrum, realize, weak_bound)
 
 WITNESS_CAP = 20
 
@@ -108,6 +108,14 @@ def _completeness_caveat(result: CheckResult, entries: list[CatalogEntry]) -> bo
     return not missing
 
 
+def _named(g: Group, references) -> str | None:
+    """Label of the first reference isomorphic to g (orders compared first)."""
+    for ref in references:
+        if ref.size == g.size and is_isomorphic(g, ref):
+            return ref.label
+    return None
+
+
 # -- individual checks --------------------------------------------------------
 
 
@@ -122,14 +130,14 @@ def check_theorem_2_2(entries: list[CatalogEntry], s_max: int = 2,
         population=(f"{len(pgroup_entries)} prime-power-order catalog groups plus "
                     f"cyclic p-groups for p in {cyclic_primes}, s <= {s_max}"),
         passed=True)
-    d8 = families.dihedral(8)
+    d8 = realize(Dihedral(8))
     for e in pgroup_entries:
         g = e.group()
         h = h_m_of(g)
         p = factorize(e.order).primes()[0]
         n = factorize(e.order).pairs[0][1]
-        expected = (g.is_cyclic() and n in _integer_exponents(p, s_max)) or \
-                   (e.order == 8 and is_isomorphic(g, d8))
+        expected = ((g.is_cyclic() and n in _integer_exponents(p, s_max))
+                    or _named(g, [d8]) is not None)
         if is_integer(h) != expected:
             result.passed = False
             result.add_witness(e.name,
@@ -163,11 +171,10 @@ def check_theorem_2_5(entries: list[CatalogEntry]) -> CheckResult:
         check_id="thm2.5",
         population=f"all {len(small)} catalog groups of order <= 16",
         passed=True)
-    expected_hit = {4: families.cyclic(4), 8: families.dihedral(8)}
+    references = [realize(Cyclic(4)), realize(Dihedral(8))]
     hits = [e for e in small if h_m_of(e.group()) == 2]
     for e in hits:
-        ok = (e.order in expected_hit
-              and is_isomorphic(e.group(), expected_hit[e.order]))
+        ok = _named(e.group(), references) is not None
         if not ok:
             result.passed = False
         result.add_witness(e.name, f"h_m = 2 ({'expected' if ok else 'UNEXPECTED'})")
@@ -179,7 +186,8 @@ def check_theorem_2_5(entries: list[CatalogEntry]) -> CheckResult:
     return result
 
 
-EXPECTED_LE_2 = ("C2", "C2^2", "C2^3", "C2^4", "C3", "S3", "C4", "D8")
+EXPECTED_LE_2 = (Cyclic(2), ElemAbelian(2, 2), ElemAbelian(2, 3), ElemAbelian(2, 4),
+                 Cyclic(3), Symmetric(3), Cyclic(4), Dihedral(8))
 
 
 def check_theorem_2_8(entries: list[CatalogEntry]) -> CheckResult:
@@ -190,8 +198,8 @@ def check_theorem_2_8(entries: list[CatalogEntry]) -> CheckResult:
         check_id="thm2.8",
         population=f"all {len(small)} catalog groups of order <= 16",
         passed=True)
-    expected = {name: _expected_group(name) for name in EXPECTED_LE_2}
-    hits = {}
+    references = [realize(atom) for atom in EXPECTED_LE_2]
+    found = set()
     min_h = None
     min_entries = []
     for e in small:
@@ -203,24 +211,20 @@ def check_theorem_2_8(entries: list[CatalogEntry]) -> CheckResult:
         elif h == min_h:
             min_entries.append(e)
         if h <= 2:
-            matched = None
-            for name, g in expected.items():
-                if e.order == g.size and is_isomorphic(e.group(), g):
-                    matched = name
-                    break
-            hits[e.name] = matched
+            matched = _named(e.group(), references)
+            found.add(matched)
             result.add_witness(e.name,
                                f"h_m = {format_rational(h)} <= 2 -> "
                                f"{matched or 'UNEXPECTED CLASS'}")
             if matched is None:
                 result.passed = False
     complete = _completeness_caveat(result, entries)
-    missing = set(EXPECTED_LE_2) - set(filter(None, hits.values()))
+    missing = {ref.label for ref in references} - found
     if missing and complete:
         result.passed = False
         result.add_witness("missing", f"expected classes not found: {sorted(missing)}")
     min_ok = (min_h == Fraction(4, 3) and len(min_entries) == 1
-              and is_isomorphic(min_entries[0].group(), families.cyclic(2)))
+              and _named(min_entries[0].group(), references) == "C2")
     if min_ok:
         result.add_witness("minimum", "min h_m = 4/3, attained only by C2")
     else:
@@ -231,20 +235,6 @@ def check_theorem_2_8(entries: list[CatalogEntry]) -> CheckResult:
                            f"min h_m = {format_rational(min_h)} at "
                            f"{[e.name for e in min_entries]}")
     return result
-
-
-def _expected_group(name: str) -> Group:
-    builders = {
-        "C2": lambda: families.cyclic(2),
-        "C3": lambda: families.cyclic(3),
-        "C4": lambda: families.cyclic(4),
-        "S3": lambda: families.symmetric(3),
-        "D8": lambda: families.dihedral(8),
-        "C2^2": lambda: families.elementary_abelian(2, 2),
-        "C2^3": lambda: families.elementary_abelian(2, 3),
-        "C2^4": lambda: families.elementary_abelian(2, 4),
-    }
-    return builders[name]()
 
 
 def check_prop_2_6(n_max: int = 100_000) -> CheckResult:
@@ -298,7 +288,7 @@ def check_prop_2_9_2_10(entries: list[CatalogEntry]) -> CheckResult:
             if g.is_nilpotent():
                 result.passed = False
                 result.add_witness(e.name, "nilpotent with h_m = 3")
-    dic3 = families.dicyclic(3)
+    dic3 = realize(Dicyclic(3))
     h_dic3 = h_m_of(dic3)
     if h_dic3 != 3 or dic3.size % 2 or dic3.is_nilpotent():
         result.passed = False
@@ -308,13 +298,13 @@ def check_prop_2_9_2_10(entries: list[CatalogEntry]) -> CheckResult:
     else:
         result.add_witness("Dic3", "h_m = 3, even order, not nilpotent")
     for k in range(1, 5):
-        g = families.elementary_abelian(2, k)
+        g = realize(ElemAbelian(2, k))
         expected = Fraction(2 ** (k + 1), 2 ** k + 1)
         if h_m_of(g) != expected:
             result.passed = False
             result.add_witness(g.label, f"h_m = {format_rational(h_m_of(g))}, "
                                         f"expected {format_rational(expected)}")
-    if h_m_of(families.cyclic(3)) != Fraction(9, 5):
+    if h_m_of(realize(Cyclic(3))) != Fraction(9, 5):
         result.passed = False
         result.add_witness("C3", "h_m != 9/5")
     _completeness_caveat(result, entries)
@@ -394,12 +384,13 @@ def check_congruences(entries: list[CatalogEntry]) -> CheckResult:
         population=f"{len(pgroups)} prime-power-order catalog groups "
                    f"(non-cyclic ones tested)",
         passed=True)
+    maximal_class: dict[int, list[Group]] = {}  # reference groups by order, built once
     for e in pgroups:
         g = e.group()
         if g.is_cyclic():
             continue
         p = factorize(e.order).primes()[0]
-        if p == 2 and _is_maximal_class_2group(g):
+        if p == 2 and _is_maximal_class_2group(g, maximal_class):
             result.add_witness(e.name, "maximal class, exempt")
             continue
         counts = dict(g.order_spectrum().cyclic_counts())
@@ -416,15 +407,28 @@ def check_congruences(entries: list[CatalogEntry]) -> CheckResult:
     return result
 
 
-def _is_maximal_class_2group(g: Group) -> bool:
+def _is_maximal_class_2group(g: Group, built: dict[int, list[Group]]) -> bool:
     """For order 2^n >= 8: dihedral, generalized quaternion or semidihedral."""
     n = g.size
     if n < 8:
         return False
-    candidates = [families.dihedral(n), families.generalized_quaternion(n)]
-    if n >= 16:
-        candidates.append(families.semidihedral(n))
-    return any(is_isomorphic(g, c) for c in candidates)
+    if n not in built:
+        built[n] = [ref for ref, _ in _maximal_class(n)]
+    return _named(g, built[n]) is not None
+
+
+def _maximal_class(order: int):
+    """Each maximal-class 2-group of `order` = 2^n that its family's rule
+    allows, with its closed-form |C(G)|."""
+    n = order.bit_length() - 1
+    for family, c_count in ((Dihedral, 2 ** (n - 1) + n),
+                            (GenQuaternion, 2 ** (n - 2) + n),
+                            (SemiDihedral, 3 * 2 ** (n - 3) + n)):
+        try:
+            atom = family(order)
+        except ValueError:  # the family has no group of this order
+            continue
+        yield realize(atom), c_count
 
 
 def check_c_convention() -> CheckResult:
@@ -438,12 +442,7 @@ def check_c_convention() -> CheckResult:
         passed=True)
     rows = []
     for n in range(3, 9):
-        order = 2 ** n
-        cases = [("D", families.dihedral(order), 2 ** (n - 1) + n),
-                 ("Q", families.generalized_quaternion(order), 2 ** (n - 2) + n)]
-        if n >= 4:
-            cases.append(("SD", families.semidihedral(order), 3 * 2 ** (n - 3) + n))
-        for tag, g, formula in cases:
+        for g, formula in _maximal_class(2 ** n):
             by_spectrum = g.cyclic_subgroup_count()
             by_sets = len(g.cyclic_subgroups())
             if by_spectrum != by_sets:
@@ -492,7 +491,7 @@ def check_prop_2_1_2_2(entries: list[CatalogEntry],
 
     def cyclic_stats(n: int) -> tuple[Fraction, Group]:
         if n not in cyclic_cache:
-            g = families.cyclic(n)
+            g = realize(Cyclic(n))
             cyclic_cache[n] = (m_of(g), g)
         return cyclic_cache[n]
 

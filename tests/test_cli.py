@@ -178,6 +178,47 @@ def test_catalog_file_answers_expressions(runner, tmp_path, entries, command):
     assert "no catalog entry (12, 1)" in res.output
 
 
+# per case: a catalog line naming no group of its declared order, and the finding
+INVALID_ENTRIES = {
+    "not-a-permutation": ({"order": 2, "id": 1, "name": "bad", "degree": 2,
+                           "gens": [[0, 0]]},
+                          "generator 0 is not a permutation of 0..1"),
+    "S4-declared-16": ({"order": 16, "id": 1, "name": "S4", "degree": 4,
+                        "gens": [[1, 2, 3, 0], [1, 0, 2, 3]]},
+                       "closure has 24 elements, declared order is 16"),
+}
+
+
+def _invalid_catalog(tmp_path, case):
+    line, problem = INVALID_ENTRIES[case]
+    path = tmp_path / "invalid.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    return str(path), f"({line['order']},1) {line['name']}: {problem}"
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_ENTRIES))
+@pytest.mark.parametrize("command", ["stats", "scan", "iso", "verify"])
+def test_entry_naming_no_group_of_its_order_is_usage_error(runner, tmp_path, case,
+                                                           command):
+    path, finding = _invalid_catalog(tmp_path, case)
+    ref = f"Cat({INVALID_ENTRIES[case][0]['order']},1)"
+    args = {"stats": ["stats", ref], "scan": ["scan"], "iso": ["iso", ref, "C(2)"],
+            "verify": ["verify", "--check", "thm2.8"]}[command]
+    res = runner.invoke(main, ["--catalog", path, *args])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1].startswith(f"Error: invalid catalog entry {finding}")
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_ENTRIES))
+def test_catalog_validate_reports_entry_naming_no_group(runner, tmp_path, case):
+    path, finding = _invalid_catalog(tmp_path, case)
+    res = runner.invoke(main, ["--catalog", path, "catalog-validate"])
+    assert res.exit_code == 1
+    assert res.output.splitlines()[-1] == f"  - {finding}"
+
+
 @pytest.mark.parametrize("text", [
     "C(10^5000)",                # a power whose decimal form str() refuses
     "C(2^100000000)",            # a power that would take 12 MB to build
@@ -289,6 +330,8 @@ class TestRefusals:
         (["stats", "S(10^7)"], "enumeration"),
         (["stats", "E(7,10^2000)"], "enumeration"),
         (["stats", "S(10^6) x C(7)"], "enumeration"),
+        # the verifier builds its reference groups as atoms, within the cap
+        (["--caps", "100", "verify", "--check", "c-convention"], "enumeration"),
     ])
     def test_refusal(self, runner, args, name):
         res = runner.invoke(main, args)

@@ -3,11 +3,11 @@ import tracemalloc
 
 import pytest
 
-from hmgroups import exactmath
+from hmgroups import exactmath, families, statistics
 from hmgroups.catalog import load_catalog
 from hmgroups.exactmath import format_rational
 from hmgroups.groupkernel import Group, OrderSpectrum
-from hmgroups.statistics import (SL23, CatalogRef, Cyclic, Product,
+from hmgroups.statistics import (SL23, CatalogRef, Cyclic, Product, SemiDihedral,
                                  h_m_cyclic_closed, h_m_dihedral_closed)
 from hmgroups.verifier import (CHECKS, ScanRow, check_c_convention,
                                check_congruences, check_eq_9, check_lemma_2_1,
@@ -165,6 +165,36 @@ class TestCConvention:
         res = check_c_convention()
         assert res.passed
         assert any("trivial subgroup included" in c for c in res.caveats)
+
+
+class TestReferenceGroups:
+    """The verifier's reference groups are expression atoms."""
+
+    def test_atom_rule_decides_which_groups_are_built(self, entries, monkeypatch):
+        # the ATOMS row holds the check function itself, so patch the row
+        row = statistics.ATOMS[SemiDihedral]
+
+        def refuse_16(order):
+            if order == 16:
+                raise ValueError("SD(n) refused at order 16")
+            row.check(order)
+        monkeypatch.setitem(statistics.ATOMS, SemiDihedral, row._replace(check=refuse_16))
+        res = check_c_convention()
+        assert res.passed
+        assert ("counts", "D8: 7, Q8: 5, D16: 12, Q16: 8, D32: 21, Q32: 13, ...") \
+            in res.witnesses
+        res = check_congruences(entries)
+        exempt = {w[0] for w in res.witnesses if w[1] == "maximal class, exempt"}
+        assert exempt == {"D8", "Q8", "D16", "Q16"}
+
+    def test_congruences_builds_references_once_per_order(self, entries, monkeypatch):
+        built = []
+        for name in ("dihedral", "generalized_quaternion", "semidihedral"):
+            real = getattr(families, name)
+            monkeypatch.setattr(families, name,
+                                lambda order, real=real: built.append(order) or real(order))
+        check_congruences(entries)
+        assert sorted(built) == [8, 8, 16, 16, 16]
 
 
 class TestPropSuite:
